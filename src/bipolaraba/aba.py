@@ -3,18 +3,22 @@
 Assumptions may occur in rule heads, so a set of assumptions is not
 automatically closed under derivation. All semantics below therefore work
 with closed conflict-free sets and with the closure-aware notion of defense.
+Extensions come from the subset engine in `masks`, the same filters the
+(p)BAF semantics use, over tables indexed by assumption sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceeded, NotAnAssumption, ParseError, TooLarge
+import numpy as np
 
-ENUM_LIMIT = 24
+from . import masks
+from .errors import CapExceeded, NotAnAssumption, ParseError
+from .masks import ENUM_LIMIT, SEMANTICS
+
 ARGUMENT_CAP = 5000
 
-SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
 DEFENSE_MODES = ("closed-sets", "attacker-closure")
 
 
@@ -72,18 +76,17 @@ class AbaFramework:
                     raise ValueError(f"rule body atom {b!r} is not an atom")
             self.rules.append((head, body))
 
-        # integer encodings used by every operation below
+        # Integer encoding used by every operation below: atom bit i is
+        # assumption i for i < k, so an assumption mask is its own atom
+        # mask and the closure is the theory's low k bits.
         self._asm_ix = {a: i for i, a in enumerate(self.assumptions)}
-        self._asm_atom_bit = [1 << self._atom_ix[a] for a in self.assumptions]
-        self._contrary_bit = [1 << self._atom_ix[self.contrary[a]]
-                              for a in self.assumptions]
-        self._rules_ix = []
-        for head, body in self.rules:
-            bmask = 0
-            for b in body:
-                bmask |= 1 << self._atom_ix[b]
-            self._rules_ix.append((1 << self._atom_ix[head], bmask))
-        self._th_memo = {}
+        self._bit_atoms = self.assumptions + [p for p in self.atoms if p not in asm]
+        bit = {p: i for i, p in enumerate(self._bit_atoms)}
+        self._rules_ix = [(bit[h], tuple(bit[b] for b in body))
+                          for h, body in self.rules]
+        self._contrary_ix = [bit[self.contrary[a]] for a in self.assumptions]
+        self._rule_bits = [(1 << h, sum(1 << b for b in set(body)))
+                           for h, body in self._rules_ix]
         self._arg_memo = {}
 
     def __eq__(self, other):
@@ -98,81 +101,74 @@ class AbaFramework:
         return (f"AbaFramework({len(self.atoms)} atoms, "
                 f"{len(self.assumptions)} assumptions, {len(self.rules)} rules)")
 
+    def engine(self, limit=ENUM_LIMIT):
+        """The subset engine over all assumption sets."""
+        return masks.aba_engine(len(self.assumptions), len(self.atoms),
+                                self._rules_ix, self._contrary_ix, limit)
+
+    def tables(self):
+        """(cl, rng) over all assumption masks: the closure of each set and
+        the assumptions whose contrary it derives."""
+        return masks.theory_tables(len(self.assumptions), len(self.atoms),
+                                   self._rules_ix, self._contrary_ix)
+
     # mask helpers ----------------------------------------------------
+
+    def _element(self, name):
+        if name not in self._asm_ix:
+            raise NotAnAssumption(f"{name!r} is not an assumption")
+        return name
 
     def _asm_mask(self, names):
         m = 0
         for a in names:
-            if a not in self._asm_ix:
-                raise NotAnAssumption(f"{a!r} is not an assumption")
-            m |= 1 << self._asm_ix[a]
+            m |= 1 << self._asm_ix[self._element(a)]
         return m
 
     def _asm_names(self, mask):
         return frozenset(a for i, a in enumerate(self.assumptions) if mask >> i & 1)
 
-    def _atom_names(self, mask):
-        return frozenset(p for i, p in enumerate(self.atoms) if mask >> i & 1)
-
-    def _close_atoms(self, atom_mask):
-        """Forward chaining: every rule whose body holds fires."""
-        cur = atom_mask
+    def _theory_mask(self, asm_mask):
+        """Forward chaining from one assumption set: every rule whose body
+        holds fires, until none does."""
+        cur = asm_mask
         changed = True
         while changed:
             changed = False
-            for head_bit, body_mask in self._rules_ix:
+            for head_bit, body_mask in self._rule_bits:
                 if body_mask & ~cur == 0 and not cur & head_bit:
                     cur |= head_bit
                     changed = True
         return cur
 
-    def _theory_mask(self, asm_mask):
-        memo = self._th_memo
-        got = memo.get(asm_mask)
-        if got is not None:
-            return got
-        if asm_mask == 0:
-            val = self._close_atoms(0)
-        else:
-            low = asm_mask & -asm_mask
-            parent = self._theory_mask(asm_mask ^ low)
-            val = self._close_atoms(parent | self._asm_atom_bit[low.bit_length() - 1])
-        memo[asm_mask] = val
-        return val
+    def _closure_mask(self, th):
+        return th & ((1 << len(self.assumptions)) - 1)
 
-    def _project_asm(self, atom_mask):
+    def _attacked_mask(self, th):
+        """The assumptions whose contrary the theory contains."""
         m = 0
-        for i, bit in enumerate(self._asm_atom_bit):
-            if atom_mask & bit:
+        for i, c in enumerate(self._contrary_ix):
+            if th >> c & 1:
                 m |= 1 << i
-        return m
-
-    def _contrary_mask(self, asm_mask):
-        m = 0
-        i = 0
-        while asm_mask:
-            if asm_mask & 1:
-                m |= self._contrary_bit[i]
-            asm_mask >>= 1
-            i += 1
         return m
 
 
 def theory(frame: AbaFramework, names):
     """Everything derivable from subsets of the given assumption set."""
-    return frame._atom_names(frame._theory_mask(frame._asm_mask(names)))
+    th = frame._theory_mask(frame._asm_mask(names))
+    return frozenset(p for i, p in enumerate(frame._bit_atoms) if th >> i & 1)
 
 
 def aba_closure(frame: AbaFramework, names):
     """Derivable assumptions of an assumption set."""
-    m = frame._asm_mask(names)
-    return frame._asm_names(frame._project_asm(frame._theory_mask(m)))
+    th = frame._theory_mask(frame._asm_mask(names))
+    return frame._asm_names(frame._closure_mask(th))
 
 
 def attacks(frame: AbaFramework, attacker, target):
     """Does some subset of `attacker` derive the contrary of a member of `target`?"""
     th = frame._theory_mask(frame._asm_mask(attacker))
-    return bool(th & frame._contrary_mask(frame._asm_mask(target)))
+    return bool(frame._attacked_mask(th) & frame._asm_mask(target))
 
 
 def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
@@ -236,129 +232,49 @@ def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
     return list(ordered)
 
 
-def _closed_masks(frame: AbaFramework, n):
-    out = []
-    for m in range(1 << n):
-        if frame._project_asm(frame._theory_mask(m)) == m:
-            out.append(m)
-    return out
-
-
 def aba_defends(frame: AbaFramework, defender, assumption, mode="closed-sets",
                 cap=ARGUMENT_CAP):
     """Does `defender` counter every attack on `assumption`?
 
     closed-sets mode follows the definition: every closed assumption set
-    attacking the assumption must itself be attacked. attacker-closure mode
-    goes through individual attacking arguments instead and counter-attacks
-    the closure of each argument's support; it needs argument enumeration
-    and therefore honours `cap`.
+    attacking the assumption must itself be attacked; it reads the closure
+    and range tables over all assumption sets. attacker-closure mode goes
+    through individual attacking arguments instead and counter-attacks the
+    closure of each argument's support; it needs argument enumeration and
+    therefore honours `cap`.
     """
-    if assumption not in frame._asm_ix:
-        raise NotAnAssumption(f"{assumption!r} is not an assumption")
+    i = frame._asm_ix[frame._element(assumption)]
     if mode not in DEFENSE_MODES:
         raise ValueError(f"unknown defense mode {mode!r}")
-    s_mask = frame._asm_mask(defender)
-    th_s = frame._theory_mask(s_mask)
-    tgt_bit = frame._contrary_bit[frame._asm_ix[assumption]]
+    attacked = frame._attacked_mask(frame._theory_mask(frame._asm_mask(defender)))
     if mode == "closed-sets":
-        n = len(frame.assumptions)
-        if n > ENUM_LIMIT:
-            raise TooLarge("assumption count", n, ENUM_LIMIT)
-        for t in _closed_masks(frame, n):
-            if frame._theory_mask(t) & tgt_bit and not th_s & frame._contrary_mask(t):
-                return False
-        return True
+        cl, rng = frame.tables()
+        closed = np.flatnonzero(cl == np.arange(len(cl), dtype=np.uint32))
+        attackers = closed[(rng[closed] >> np.uint32(i)) & 1 == 1]
+        return bool(np.all(attackers & attacked))
     target_atom = frame.contrary[assumption]
     for arg in enumerate_arguments(frame, cap):
         if arg.conclusion != target_atom:
             continue
-        cl_mask = frame._project_asm(frame._theory_mask(frame._asm_mask(arg.support)))
-        if not th_s & frame._contrary_mask(cl_mask):
+        th = frame._theory_mask(frame._asm_mask(arg.support))
+        if not attacked & frame._closure_mask(th):
             return False
     return True
 
 
-def aba_extensions(frame: AbaFramework, semantics, limit=ENUM_LIMIT):
-    """Enumerate extensions by scanning all assumption subsets.
+def aba_extensions(frame: AbaFramework, semantics, limit=ENUM_LIMIT, engine=None):
+    """Enumerate extensions with the subset engine.
 
     Conflict-freeness and closedness are required across the board, and
     defense counter-attacks closed attacker sets, so even grounded and
-    stable go through the same filters.
+    stable go through the same filters. `engine`, when given, is
+    `frame.engine()` built once for several calls.
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    n = len(frame.assumptions)
-    if n > limit:
-        raise TooLarge("assumption count", n, limit)
-    full = (1 << n) - 1
-    th = [frame._theory_mask(m) for m in range(1 << n)]
-    cmask = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        cmask[m] = cmask[m ^ low] | frame._contrary_bit[low.bit_length() - 1]
-
-    if semantics == "cf":
-        found = [m for m in range(1 << n) if not th[m] & cmask[m]]
-        return _as_families(frame, found)
-
-    closed = [m for m in range(1 << n)
-              if frame._project_asm(th[m]) == m]
-    closed_flag = [False] * (1 << n)
-    for m in closed:
-        closed_flag[m] = True
-
-    if semantics == "stb":
-        found = []
-        for m in closed:
-            if th[m] & cmask[m]:
-                continue
-            attacked = 0
-            for i in range(n):
-                if th[m] & frame._contrary_bit[i]:
-                    attacked |= 1 << i
-            if attacked & ~m == full & ~m:
-                found.append(m)
-        return _as_families(frame, found)
-
-    # which assumptions each closed set attacks, for bulk defense
-    attacked_by = []
-    for t in closed:
-        am = 0
-        for i in range(n):
-            if th[t] & frame._contrary_bit[i]:
-                am |= 1 << i
-        attacked_by.append(am)
-
-    candidates = [m for m in closed if not th[m] & cmask[m]]
-    results = []
-    for m in candidates:
-        defended = full
-        for t, am in zip(closed, attacked_by):
-            if not th[m] & cmask[t]:
-                defended &= ~am
-            if defended == 0:
-                break
-        if semantics in ("ad", "pr"):
-            if m & ~defended == 0:
-                results.append(m)
-        else:
-            if m == defended:
-                results.append(m)
-
-    if semantics == "pr":
-        results = [m for m in results
-                   if not any(m != o and m & ~o == 0 for o in results)]
-    if semantics == "gr":
-        inter = full
-        for m in results:
-            inter &= m
-        results = [inter] if results else [0]
-    return _as_families(frame, results)
-
-
-def _as_families(frame, masks):
-    sets = [frame._asm_names(m) for m in masks]
+    eng = engine if engine is not None else frame.engine(limit)
+    found = masks._extension_masks(eng, semantics)
+    sets = [frame._asm_names(int(m)) for m in found]
     rank = frame._asm_ix
     return sorted(sets, key=lambda s: tuple(sorted(rank[a] for a in s)))
 
@@ -369,22 +285,8 @@ def aba_decide(frame: AbaFramework, task, semantics, query=None, limit=ENUM_LIMI
     cred: query assumption lies in some extension. skept: in every extension
     (vacuously true when there are none). ver: the query set is an extension.
     """
-    family = aba_extensions(frame, semantics, limit)
-    if task == "enumerate":
-        return family
-    if task == "ver":
-        target = frozenset(query)
-        for a in target:
-            if a not in frame._asm_ix:
-                raise NotAnAssumption(f"{a!r} is not an assumption")
-        return target in family
-    if query not in frame._asm_ix:
-        raise NotAnAssumption(f"{query!r} is not an assumption")
-    if task == "cred":
-        return any(query in ext for ext in family)
-    if task == "skept":
-        return all(query in ext for ext in family)
-    raise ValueError(f"unknown task {task!r}")
+    return masks.decide(task, query, frame._element,
+                        lambda: aba_extensions(frame, semantics, limit))
 
 
 # ------------------------------------------------------------------ text io

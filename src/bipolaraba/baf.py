@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import masks
-from .errors import NotAnAssumption, ParseError, SupportsPresent, TooLarge
+from .errors import ParseError, SupportsPresent, TooLarge
+from .masks import ENUM_LIMIT, SEMANTICS
 
-SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
 DEFENSE_MODES = ("closed-sets", "attacker-closure")
 AF_LIMIT = 16
 
@@ -40,6 +38,10 @@ class Baf:
         if len(self.names) != self.n or len(set(self.names)) != self.n:
             raise ValueError("need one distinct name per argument")
         self._name_ix = {nm: i for i, nm in enumerate(self.names)}
+
+    def engine(self, limit=ENUM_LIMIT):
+        """The subset engine over all argument sets."""
+        return masks.baf_engine(self.n, self.att, self.sup, limit)
 
     def resolve(self, ref):
         """Accept an argument name or a numeric id."""
@@ -121,8 +123,8 @@ def baf_defends(frame: Baf, ext, arg, mode="attacker-closure"):
             if not _attacks_set(frame, members, baf_closure(frame, {b})):
                 return False
         return True
-    if frame.n > masks.ENUM_LIMIT:
-        raise TooLarge("argument count", frame.n, masks.ENUM_LIMIT)
+    if frame.n > ENUM_LIMIT:
+        raise TooLarge("argument count", frame.n, ENUM_LIMIT)
     attackers = {b for b, t in frame.att if t == a}
     for m in range(1 << frame.n):
         group = {i for i in range(frame.n) if m >> i & 1}
@@ -151,65 +153,41 @@ def is_exhaustive(pframe: Pbaf, ext):
 
 # ------------------------------------------------------------- enumeration
 
-def _engine(frame: Baf, limit):
-    return masks.SubsetEngine(frame.n, frame.att, frame.sup, limit)
-
-
 def _family(frame: Baf, mask_list):
     sets = [frozenset(i for i in range(frame.n) if int(m) >> i & 1)
             for m in mask_list]
     return sorted(sets, key=lambda s: tuple(sorted(s)))
 
 
-def _extension_masks(eng, semantics, exhaustive=None):
-    if semantics == "cf":
-        return np.flatnonzero(eng.conflict_free).astype(np.uint32)
-    if semantics == "stb":
-        return eng.stable_masks()
-    cand = eng.candidate_masks()
-    g = eng.gamma(cand)
-    if exhaustive is not None:
-        keep = exhaustive(cand)
-        cand, g = cand[keep], g[keep]
-    if semantics == "ad":
-        return cand[eng.admissible_flags(cand, g)]
-    if semantics == "co":
-        return cand[cand == g]
-    if semantics == "pr":
-        return masks.maximal_masks(cand[eng.admissible_flags(cand, g)])
-    if semantics == "gr":
-        co = cand[cand == g]
-        return np.array([masks.intersect_masks(co, eng.full)], dtype=np.uint32)
-    raise ValueError(f"unknown semantics {semantics!r}")
-
-
-def baf_extensions(frame: Baf, semantics, limit=masks.ENUM_LIMIT):
-    """Enumerate extensions under the closed-set semantics."""
+def baf_extensions(frame: Baf, semantics, limit=ENUM_LIMIT, engine=None):
+    """Enumerate extensions under the closed-set semantics. `engine`, when
+    given, is `frame.engine()` built once for several calls."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    eng = _engine(frame, limit)
-    return _family(frame, _extension_masks(eng, semantics))
+    eng = engine if engine is not None else frame.engine(limit)
+    return _family(frame, masks._extension_masks(eng, semantics))
 
 
-def pbaf_extensions(pframe: Pbaf, semantics, limit=masks.ENUM_LIMIT):
+def pbaf_extensions(pframe: Pbaf, semantics, limit=ENUM_LIMIT, engine=None):
     """Premise-aware extensions.
 
     Admissibility additionally requires exhaustiveness; stable and
     conflict-free sets are taken from the underlying BAF unchanged.
+    `engine`, when given, is `pframe.baf.engine()`.
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     frame = pframe.baf
-    eng = _engine(frame, limit)
+    eng = engine if engine is not None else frame.engine(limit)
     if semantics in ("cf", "stb"):
-        return _family(frame, _extension_masks(eng, semantics))
+        return _family(frame, masks._extension_masks(eng, semantics))
     premise_masks = _premise_masks(pframe)
     table = eng.premise_tables(premise_masks)
 
     def exhaustive(cand):
         return eng.exhaustive_flags(cand, premise_masks, table)
 
-    return _family(frame, _extension_masks(eng, semantics, exhaustive))
+    return _family(frame, masks._extension_masks(eng, semantics, exhaustive))
 
 
 def _premise_masks(pframe: Pbaf):
@@ -289,35 +267,23 @@ def af_extensions(frame: Baf, semantics, limit=AF_LIMIT):
 
 # ----------------------------------------------------------------- tasks
 
-def baf_decide(frame, task, semantics, query=None, limit=masks.ENUM_LIMIT,
+def baf_decide(frame, task, semantics, query=None, limit=ENUM_LIMIT,
                classic=False):
     """Credulous / skeptical / verification tasks over one semantics.
 
     `frame` may be a Baf or a Pbaf. Skeptical acceptance over an empty
-    family is vacuously true.
+    family is vacuously true. The classic route keeps its own, lower
+    limit.
     """
-    pframe = None
-    if isinstance(frame, Pbaf):
-        pframe, base = frame, frame.baf
-    else:
-        base = frame
+    base = frame.baf if isinstance(frame, Pbaf) else frame
     if classic:
-        family = af_extensions(base, semantics, limit)
-    elif pframe is not None:
-        family = pbaf_extensions(pframe, semantics, limit)
+        solve, target, limit = af_extensions, base, min(limit, AF_LIMIT)
+    elif isinstance(frame, Pbaf):
+        solve, target = pbaf_extensions, frame
     else:
-        family = baf_extensions(base, semantics, limit)
-    if task == "enumerate":
-        return family
-    if task == "ver":
-        target = frozenset(base.resolve(x) for x in query)
-        return target in family
-    a = base.resolve(query)
-    if task == "cred":
-        return any(a in ext for ext in family)
-    if task == "skept":
-        return all(a in ext for ext in family)
-    raise ValueError(f"unknown task {task!r}")
+        solve, target = baf_extensions, frame
+    return masks.decide(task, query, base.resolve,
+                        lambda: solve(target, semantics, limit))
 
 
 # ---------------------------------------------------------------- text io

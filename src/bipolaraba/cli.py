@@ -17,17 +17,15 @@ import json
 import sys
 
 from . import harness
-from .aba import aba_decide, parse_aba
+from .aba import ARGUMENT_CAP, aba_decide, parse_aba
 from .baf import (Pbaf, baf_decide, format_baf, format_pbaf, parse_baf,
                   parse_pbaf)
 from .errors import (CapExceeded, ParseError, SolverError, TooLarge)
 from .instantiate import describe_arguments, instantiate_baf, instantiate_pbaf
+from .masks import SEMANTICS, TASKS
 from .reductions import (construct_gr_baf, construct_sat_baf,
                          construct_skept_baf, construct_skept_pbaf,
                          parse_dimacs)
-
-SIGMAS = ("cf", "ad", "co", "gr", "pr", "stb")
-TASKS = ("enumerate", "cred", "skept", "ver")
 
 
 def _read(path):
@@ -238,7 +236,7 @@ def build_parser():
     p.add_argument("path", nargs="+", metavar="[formalism] path",
                    help="optional formalism (aba, baf, pbaf) and a "
                         "framework file, or - for stdin")
-    p.add_argument("--sigma", choices=SIGMAS, default="co")
+    p.add_argument("--sigma", choices=SEMANTICS, default="co")
     p.add_argument("--task", type=str.lower, choices=TASKS,
                    default="enumerate",
                    help="enumerate, cred, skept or ver (case-insensitive)")
@@ -251,7 +249,7 @@ def build_parser():
     p = sub.add_parser("translate", help="ABA file to its argument graph")
     p.add_argument("path")
     p.add_argument("--target", choices=("baf", "pbaf"), default="baf")
-    p.add_argument("--cap", type=int, default=5000,
+    p.add_argument("--cap", type=int, default=ARGUMENT_CAP,
                    help="argument construction cap")
     p.set_defaults(func=run_translate)
 
@@ -272,7 +270,7 @@ def build_parser():
 
     p = sub.add_parser("export-dot", help="framework as a DOT graph")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=5000)
+    p.add_argument("--cap", type=int, default=ARGUMENT_CAP)
     p.set_defaults(func=run_export_dot)
     return parser
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
 
-from . import masks
-from .aba import (AbaFramework, aba_defends, aba_extensions,
+from .aba import (AbaFramework, aba_closure, aba_defends, aba_extensions,
                   enumerate_arguments)
-from .baf import (Baf, Pbaf, baf_decide, baf_defends, baf_extensions,
+from .baf import (Baf, Pbaf, baf_closure, baf_defends, baf_extensions,
                   pbaf_extensions)
 from .errors import CapExceeded, TooLarge
 from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
@@ -192,52 +192,51 @@ def check_correspondence(frame: AbaFramework, cap=2000,
                  f"{len(args)} arguments, limit {arg_limit}")
         return rep
     inst = instantiate_pbaf(frame, cap)
-    d_family = {s: aba_extensions(frame, s) for s in ("ad", "co", "gr", "pr", "stb")}
+    aba_eng = frame.engine()
+    d_family = {s: aba_extensions(frame, s, engine=aba_eng)
+                for s in ("ad", "co", "gr", "pr", "stb")}
+    del aba_eng
     co_d_empty = not d_family["co"]
 
-    def run_side(side, semantics_list, forward_list):
+    def run_side(side, family, semantics_list, forward_list):
         if semantics is not None:
             semantics_list = tuple(s for s in semantics_list if s == semantics)
-        if side == "baf":
-            get = lambda s: baf_extensions(inst.baf, s)
-        else:
-            get = lambda s: pbaf_extensions(inst.pbaf, s)
-        g_family = {s: get(s) for s in semantics_list}
         for sem in semantics_list:
             if sem == "gr" and co_d_empty:
-                graph_gr = g_family["gr"]
                 agree = (d_family["gr"] == [frozenset()]
-                         and graph_gr == [frozenset()]
-                         and not get("co"))
+                         and family("gr") == [frozenset()]
+                         and not family("co"))
                 rep.add(f"{side}-gr-convention", label, agree,
                         "" if agree else "empty-complete conventions disagree")
                 continue
             if sem in forward_list:
-                bad = [e for e in g_family[sem]
+                bad = [e for e in family(sem)
                        if assumptions_of(inst, e) not in d_family[sem]]
                 rep.add(f"{side}-{sem}-forward", label, not bad,
                         "" if not bad
                         else f"graph extension maps outside: "
                              f"{_fmt_asm(assumptions_of(inst, bad[0]))}")
             bad = [s for s in d_family[sem]
-                   if arguments_for(inst, s) not in g_family[sem]]
+                   if arguments_for(inst, s) not in family(sem)]
             rep.add(f"{side}-{sem}-backward", label, not bad,
                     "" if not bad else f"no graph extension for {_fmt_asm(bad[0])}")
 
     try:
+        # one engine serves both sides: the premise labels only add a filter
+        eng = inst.baf.engine()
+        baf_family = cache(lambda s: baf_extensions(inst.baf, s, engine=eng))
+        pbaf_family = cache(lambda s: pbaf_extensions(inst.pbaf, s, engine=eng))
         if "baf" in targets:
-            run_side("baf", ("ad", "co", "gr", "stb"), ("co", "gr", "stb"))
+            run_side("baf", baf_family, ("ad", "co", "gr", "stb"),
+                     ("co", "gr", "stb"))
             if semantics in (None, "co", "stb"):
                 exhaustive_bad = [
-                    e for sem in ("co", "stb")
-                    for e in baf_extensions(inst.baf, sem)
+                    e for sem in ("co", "stb") for e in baf_family(sem)
                     if not is_assumption_exhaustive(inst, e)]
                 rep.add("baf-co-stb-exhaustive", label, not exhaustive_bad)
         if "pbaf" in targets:
-            run_side("pbaf", ("ad", "co", "gr", "pr", "stb"),
+            run_side("pbaf", pbaf_family, ("ad", "co", "gr", "pr", "stb"),
                      ("ad", "co", "gr", "pr", "stb"))
-        from .baf import baf_closure
-        from .aba import aba_closure
         cl_bad = []
         for i, a in enumerate(inst.arguments):
             graph_side = assumptions_of(inst, baf_closure(inst.baf, {i}))
@@ -260,23 +259,26 @@ def check_defense_equivalence(frame, label="", cap=2000) -> CheckReport:
     return _baf_defense_equivalence(frame, label)
 
 
+def _not_defended(rng, closed_masks):
+    """For every set, by the definition: the elements attacked by some
+    closed set that the set itself does not attack."""
+    out = np.zeros(len(rng), dtype=np.uint32)
+    for t in closed_masks:
+        if rng[t]:
+            out[(rng & np.uint32(t)) == 0] |= rng[t]
+    return out
+
+
 def _baf_defense_equivalence(frame: Baf, label) -> CheckReport:
     rep = CheckReport()
     try:
-        eng = masks.SubsetEngine(frame.n, frame.att, frame.sup)
+        eng = frame.engine()
     except TooLarge as exc:
         rep.skip("defense-equivalence", label, str(exc))
         return rep
     every = np.arange(eng.size, dtype=np.uint32)
     via_attcl = eng.gamma(every)
-    not_defended = np.zeros(eng.size, dtype=np.uint32)
-    for t in np.flatnonzero(eng.closed):
-        targets = eng.rng[t]
-        if targets == 0:
-            continue
-        missing = (eng.rng & np.uint32(t)) == 0
-        not_defended[missing] |= targets
-    via_closed = eng.full & ~not_defended
+    via_closed = eng.full & ~_not_defended(eng.rng, np.flatnonzero(eng.closed))
     mismatch = np.flatnonzero(via_attcl != via_closed)
     if len(mismatch) == 0:
         rep.add("defense-equivalence", label, True,
@@ -304,14 +306,18 @@ def _aba_defense_equivalence(frame: AbaFramework, label, cap) -> CheckReport:
     except CapExceeded:
         rep.skip("defense-equivalence", label, f"argument cap {cap} exceeded")
         return rep
+    cl, rng = frame.tables()
+    not_defended = _not_defended(
+        rng, np.flatnonzero(cl == np.arange(len(cl), dtype=np.uint32)))
     pairs = 0
     for m in range(1 << n):
         s = [a for i, a in enumerate(frame.assumptions) if m >> i & 1]
-        for a in frame.assumptions:
+        for i, a in enumerate(frame.assumptions):
             pairs += 1
-            left = aba_defends(frame, s, a, mode="closed-sets")
+            via_closed = not not_defended[m] >> i & 1
             right = aba_defends(frame, s, a, mode="attacker-closure", cap=cap)
-            if left != right:
+            if via_closed != right:
+                left = aba_defends(frame, s, a, mode="closed-sets")
                 rep.add("defense-equivalence", label, False,
                         f"S={_fmt_asm(s)} a={a} closed-sets={left} "
                         f"attacker-closure={right}")
@@ -359,8 +365,9 @@ def check_construction_lemmas(cnf: Cnf, label="") -> CheckReport:
         co = baf_extensions(frame, "co")
         rep.add("skept-baf-count", label, len(co) == 2 ** cnf.n_vars,
                 f"{len(co)} complete vs {2 ** cnf.n_vars} assignments")
-        skept = baf_decide(frame, "skept", "co", "npsi")
-        rep.add("skept-baf-npsi-iff-unsat", label, skept == (not sat))
+        npsi = frame.resolve("npsi")
+        rep.add("skept-baf-npsi-iff-unsat", label,
+                all(npsi in e for e in co) == (not sat))
         shape_ok = True
         for e in co:
             got = names_of(frame, e)
@@ -378,8 +385,9 @@ def check_construction_lemmas(cnf: Cnf, label="") -> CheckReport:
         ad = pbaf_extensions(pframe, "ad")
         rep.add("skept-pbaf-admissible-exist", label,
                 bool(ad) and frozenset() not in ad, f"{len(ad)} admissible")
-        skept = baf_decide(pframe, "skept", "ad", "npsi")
-        rep.add("skept-pbaf-npsi-iff-unsat", label, skept == (not sat))
+        npsi = pframe.baf.resolve("npsi")
+        rep.add("skept-pbaf-npsi-iff-unsat", label,
+                all(npsi in e for e in ad) == (not sat))
     except TooLarge as exc:
         rep.skip("skept-pbaf", label, str(exc))
     return rep

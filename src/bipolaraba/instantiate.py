@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aba import AbaFramework, Argument, enumerate_arguments, aba_closure
+from .aba import ARGUMENT_CAP, AbaFramework, aba_closure, enumerate_arguments
 from .baf import Baf, Pbaf
 from .errors import NotAnAssumption
 
@@ -53,13 +53,13 @@ def _build(frame: AbaFramework, cap):
     return args, names, att, sup, base_index
 
 
-def instantiate_baf(frame: AbaFramework, cap=5000):
+def instantiate_baf(frame: AbaFramework, cap=ARGUMENT_CAP):
     """The argument graph of the framework, attacks and supports only."""
     args, names, att, sup, base_index = _build(frame, cap)
     return Instantiation(frame, args, Baf(len(args), att, sup, names), base_index)
 
 
-def instantiate_pbaf(frame: AbaFramework, cap=5000):
+def instantiate_pbaf(frame: AbaFramework, cap=ARGUMENT_CAP):
     """Argument graph plus premise labels (premise ids are 1-based atom ids)."""
     inst = instantiate_baf(frame, cap)
     atom_id = {p: i + 1 for i, p in enumerate(frame.atoms)}

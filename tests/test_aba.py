@@ -4,7 +4,11 @@ from bipolaraba import (AbaFramework, CapExceeded, NotAnAssumption,
                         ParseError, TooLarge, aba_closure, aba_decide,
                         aba_defends, aba_extensions, attacks,
                         enumerate_arguments, format_aba, parse_aba, theory)
-from conftest import build_ex22
+from bipolaraba.harness import GenParams, random_aba
+from conftest import build_ex22, build_ex44, build_motivating
+from reference_impl import family, naive_aba_extensions
+
+SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
 
 
 def fam(extensions):
@@ -177,6 +181,57 @@ def test_extensions_guard(ex22):
         aba_extensions(ex22, "ad", limit=3)
     with pytest.raises(ValueError):
         aba_extensions(ex22, "nope")
+
+
+def test_extensions_beyond_64_atoms():
+    # a 70-atom chain from a1 to the contrary of a2, with rules whose head
+    # and body sit on either side of atom 64
+    chain = [f"p{j}" for j in range(1, 71)]
+    asms = ["a1", "a2", "a3", "a4"]
+    contrary = {a: "n" + a for a in asms}
+    rules = [("p1", ("a1",))]
+    rules += [(chain[j + 1], (chain[j],)) for j in range(len(chain) - 1)]
+    rules += [("na2", ("p70",)), ("na1", ("a2",)), ("a4", ("a3",)),
+              ("na3", ("a4", "p66")), ("na4", ("p3", "a2"))]
+    frame = AbaFramework(asms + list(contrary.values()) + chain, asms,
+                         contrary, rules)
+    assert len(frame.atoms) > 64
+    assert theory(frame, {"a1"}) >= {"p70", "na2"}
+    frames = [frame] + [random_aba(GenParams(n_atoms=80, n_assumptions=5,
+                                             n_rules=150, max_body=2, seed=s))
+                        for s in range(5)]
+    for fr in frames:
+        for sigma in SEMANTICS:
+            assert family(aba_extensions(fr, sigma)) == \
+                family(naive_aba_extensions(fr, sigma)), (fr, sigma)
+
+
+def test_contrary_derived_from_facts_leaves_assumption_undefended():
+    # the contrary of a follows from the fact f: the empty set is a minimal
+    # attacker of a, and no set can attack the empty set
+    frame = AbaFramework(["a", "b", "na", "nb", "f"], ["a", "b"],
+                         {"a": "na", "b": "nb"},
+                         [("f", ()), ("na", ("f",)), ("nb", ("a",))])
+    for s in ([], ["a"], ["b"], ["a", "b"]):
+        assert not aba_defends(frame, s, "a")
+        assert not aba_defends(frame, s, "a", mode="attacker-closure")
+    for sigma in SEMANTICS:
+        got = aba_extensions(frame, sigma)
+        assert family(got) == family(naive_aba_extensions(frame, sigma))
+        if sigma != "cf":
+            assert all("a" not in e for e in got), sigma
+
+
+def test_defends_closed_sets_agrees_with_attacker_closure():
+    frames = [build_ex22(), build_ex44(), build_motivating()]
+    frames += [random_aba(GenParams(n_assumptions=5, seed=s)) for s in range(20)]
+    for frame in frames:
+        asms = frame.assumptions
+        for m in range(1 << len(asms)):
+            s = [a for i, a in enumerate(asms) if m >> i & 1]
+            for a in asms:
+                assert aba_defends(frame, s, a) == \
+                    aba_defends(frame, s, a, mode="attacker-closure"), (s, a)
 
 
 def test_decide(ex22, ex44):

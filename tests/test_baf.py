@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from bipolaraba import (Baf, Pbaf, ParseError, SupportsPresent, TooLarge,
@@ -6,6 +9,7 @@ from bipolaraba import (Baf, Pbaf, ParseError, SupportsPresent, TooLarge,
                         format_baf, format_pbaf, is_exhaustive, parse_baf,
                         parse_pbaf, pbaf_extensions)
 from bipolaraba.harness import random_baf, random_pbaf
+from bipolaraba.masks import maximal_masks
 from conftest import named_family, names_of
 from reference_impl import (family, naive_baf_extensions,
                             naive_pbaf_extensions)
@@ -82,6 +86,34 @@ def test_extensions_guard():
         baf_extensions(frame, "ad")
     with pytest.raises(ValueError):
         baf_extensions(random_baf(3, 0), "wrong")
+
+
+def pairs_frame(pairs):
+    att = [e for i in range(pairs) for e in ((2 * i, 2 * i + 1),
+                                              (2 * i + 1, 2 * i))]
+    return Baf(2 * pairs, att, [])
+
+
+def test_preferred_on_mutually_attacking_pairs():
+    # one member of each pair: 2^pairs preferred sets among 3^pairs
+    # admissible ones
+    assert family(baf_extensions(pairs_frame(5), "pr")) == \
+        family(naive_baf_extensions(pairs_frame(5), "pr"))
+    pr = baf_extensions(pairs_frame(10), "pr")
+    assert len(pr) == 1024
+    assert family(pr) == family(
+        frozenset(2 * i + (m >> i & 1) for i in range(10))
+        for m in range(1024))
+
+
+def test_maximal_masks_matches_pairwise_definition():
+    # short lists take the pairwise route, long ones the 2^n tables
+    rng = random.Random(0)
+    for n, k in ((0, 1), (4, 3), (16, 300), (6, 40), (8, 200), (12, 1500)):
+        masks = np.array([rng.getrandbits(n) for _ in range(k)], dtype=np.uint32)
+        want = [m for m in masks
+                if not any(m != o and m & ~o == 0 for o in masks)]
+        assert maximal_masks(masks, n).tolist() == [int(m) for m in want]
 
 
 def test_decide(ex32, ex38):
@@ -176,6 +208,9 @@ def test_af_rejects_supports(ex32):
 def test_af_guard():
     with pytest.raises(TooLarge):
         af_extensions(Baf(17, [], []), "co")
+    ring = Baf(17, [(i, (i + 1) % 17) for i in range(17)], [])
+    with pytest.raises(TooLarge):
+        baf_decide(ring, "enumerate", "co", classic=True)
 
 
 # --------------------------------------------------------------- text io

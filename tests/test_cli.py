@@ -132,6 +132,16 @@ def test_solve_classic(capsys, tmp_path):
     assert "count: 2\n" in out
 
 
+def test_classic_size_guard(capsys, tmp_path):
+    path = tmp_path / "ring.baf"
+    path.write_text("p baf 17\n" + "".join(f"att {i} {(i + 1) % 17}\n"
+                                           for i in range(17)))
+    code, out, err = run(capsys, "solve", str(path), "--classic")
+    assert code == 3
+    assert "guard:" in err and "limit is 16" in err
+    assert out == ""
+
+
 def test_classic_rejects_supports(capsys, baf_file):
     code, _, err = run(capsys, "solve", baf_file, "--sigma", "co", "--classic")
     assert code == 1
