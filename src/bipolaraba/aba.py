@@ -106,12 +106,6 @@ class AbaFramework:
         return masks.aba_engine(len(self.assumptions), len(self.atoms),
                                 self._rules_ix, self._contrary_ix, limit)
 
-    def tables(self):
-        """(cl, rng) over all assumption masks: the closure of each set and
-        the assumptions whose contrary it derives."""
-        return masks.theory_tables(len(self.assumptions), len(self.atoms),
-                                   self._rules_ix, self._contrary_ix)
-
     # mask helpers ----------------------------------------------------
 
     def _element(self, name):
@@ -233,24 +227,25 @@ def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
 
 
 def aba_defends(frame: AbaFramework, defender, assumption, mode="closed-sets",
-                cap=ARGUMENT_CAP):
+                cap=ARGUMENT_CAP, engine=None):
     """Does `defender` counter every attack on `assumption`?
 
     closed-sets mode follows the definition: every closed assumption set
-    attacking the assumption must itself be attacked; it reads the closure
-    and range tables over all assumption sets. attacker-closure mode goes
-    through individual attacking arguments instead and counter-attacks the
-    closure of each argument's support; it needs argument enumeration and
-    therefore honours `cap`.
+    attacking the assumption must itself be attacked; it reads the closed
+    sets and their ranges from the subset engine, `engine` when given
+    (`frame.engine()` built once for several calls). attacker-closure mode
+    goes through individual attacking arguments instead and counter-attacks
+    the closure of each argument's support; it needs argument enumeration
+    and therefore honours `cap`.
     """
     i = frame._asm_ix[frame._element(assumption)]
     if mode not in DEFENSE_MODES:
         raise ValueError(f"unknown defense mode {mode!r}")
     attacked = frame._attacked_mask(frame._theory_mask(frame._asm_mask(defender)))
     if mode == "closed-sets":
-        cl, rng = frame.tables()
-        closed = np.flatnonzero(cl == np.arange(len(cl), dtype=np.uint32))
-        attackers = closed[(rng[closed] >> np.uint32(i)) & 1 == 1]
+        eng = engine if engine is not None else frame.engine()
+        closed = eng.closed_masks()
+        attackers = closed[(eng.range_of(closed) >> np.uint32(i)) & 1 == 1]
         return bool(np.all(attackers & attacked))
     target_atom = frame.contrary[assumption]
     for arg in enumerate_arguments(frame, cap):
@@ -273,10 +268,7 @@ def aba_extensions(frame: AbaFramework, semantics, limit=ENUM_LIMIT, engine=None
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     eng = engine if engine is not None else frame.engine(limit)
-    found = masks._extension_masks(eng, semantics)
-    sets = [frame._asm_names(int(m)) for m in found]
-    rank = frame._asm_ix
-    return sorted(sets, key=lambda s: tuple(sorted(rank[a] for a in s)))
+    return masks.mask_sets(masks._extension_masks(eng, semantics), frame.assumptions)
 
 
 def aba_decide(frame: AbaFramework, task, semantics, query=None, limit=ENUM_LIMIT):

@@ -154,9 +154,7 @@ def is_exhaustive(pframe: Pbaf, ext):
 # ------------------------------------------------------------- enumeration
 
 def _family(frame: Baf, mask_list):
-    sets = [frozenset(i for i in range(frame.n) if int(m) >> i & 1)
-            for m in mask_list]
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
+    return masks.mask_sets(mask_list, range(frame.n))
 
 
 def baf_extensions(frame: Baf, semantics, limit=ENUM_LIMIT, engine=None):

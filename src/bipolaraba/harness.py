@@ -276,13 +276,13 @@ def _baf_defense_equivalence(frame: Baf, label) -> CheckReport:
     except TooLarge as exc:
         rep.skip("defense-equivalence", label, str(exc))
         return rep
-    every = np.arange(eng.size, dtype=np.uint32)
+    every = np.arange(1 << frame.n, dtype=np.uint32)
     via_attcl = eng.gamma(every)
-    via_closed = eng.full & ~_not_defended(eng.rng, np.flatnonzero(eng.closed))
+    via_closed = eng.full & ~_not_defended(eng.range_of(every), eng.closed_masks())
     mismatch = np.flatnonzero(via_attcl != via_closed)
     if len(mismatch) == 0:
         rep.add("defense-equivalence", label, True,
-                f"{eng.size * frame.n} pairs")
+                f"{len(every) * frame.n} pairs")
         return rep
     m = int(mismatch[0])
     ext = [i for i in range(frame.n) if m >> i & 1]
@@ -306,9 +306,9 @@ def _aba_defense_equivalence(frame: AbaFramework, label, cap) -> CheckReport:
     except CapExceeded:
         rep.skip("defense-equivalence", label, f"argument cap {cap} exceeded")
         return rep
-    cl, rng = frame.tables()
+    eng = frame.engine()
     not_defended = _not_defended(
-        rng, np.flatnonzero(cl == np.arange(len(cl), dtype=np.uint32)))
+        eng.range_of(np.arange(1 << n, dtype=np.uint32)), eng.closed_masks())
     pairs = 0
     for m in range(1 << n):
         s = [a for i, a in enumerate(frame.assumptions) if m >> i & 1]
@@ -317,7 +317,7 @@ def _aba_defense_equivalence(frame: AbaFramework, label, cap) -> CheckReport:
             via_closed = not not_defended[m] >> i & 1
             right = aba_defends(frame, s, a, mode="attacker-closure", cap=cap)
             if via_closed != right:
-                left = aba_defends(frame, s, a, mode="closed-sets")
+                left = aba_defends(frame, s, a, mode="closed-sets", engine=eng)
                 rep.add("defense-equivalence", label, False,
                         f"S={_fmt_asm(s)} a={a} closed-sets={left} "
                         f"attacker-closure={right}")

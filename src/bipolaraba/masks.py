@@ -1,17 +1,21 @@
 """Vectorized subset enumeration shared by (p)BAF and ABA semantics.
 
 Sets are bitmasks over n elements: arguments of a (p)BAF, or assumptions
-of an ABA framework. A `SubsetEngine` holds, for every one of the 2^n
-subsets, the elements it attacks (`rng`) and its closure (`cl`), plus for
-every element the closures a set must attack to defend it. Every semantics
-is a filter over those tables, the same for both formalisms; only the
-builders differ.
+of an ABA framework. A `SubsetEngine` splits the bits into a low factor
+(bits 0..lo-1) and a high factor (bits lo..n-1) and holds, for every
+subset of each factor, the elements it attacks (range) and its closure.
+A set's range and closure are the OR of those of its two halves. Every
+semantics is a filter over the join of the two factors, the same for
+both formalisms; only the builders differ.
 
-For BAFs the range and closure distribute over set union, so their tables
-are filled with a doubling trick: the table for masks containing element k
-is the table without k OR-ed with k's own row. For ABA frameworks they are
+For BAFs the range and closure distribute over set union (support is
+deductive), so the bits split in halves and no table over all 2^n sets
+is built: each factor table of 2^(n/2) entries is filled with a doubling
+trick, the table for masks containing element k being the table without
+k OR-ed with k's own row. An ABA theory does not distribute over union,
+so the ABA builder puts every bit in the low factor, whose tables are
 projections of a theory table filled by forward chaining over all
-assumption masks at once.
+assumption masks at once, and leaves the high factor empty.
 """
 from __future__ import annotations
 
@@ -28,6 +32,9 @@ PAIRWISE_LIMIT = 1 << 20
 # bytes of theory table per forward-chaining block of assumption masks:
 # bounds its memory whatever the number of assumptions and atoms
 CHAIN_BYTES = 1 << 22
+# largest block of (low half, high half) pairs the join tests at once:
+# a few MB of uint32 temporaries whatever the factors' sizes
+JOIN_ENTRIES = 1 << 20
 
 
 def or_table(n, rows, dtype=np.uint32):
@@ -37,6 +44,11 @@ def or_table(n, rows, dtype=np.uint32):
     for k in range(n):
         out[1 << k: 2 << k] = out[: 1 << k] | rows[k]
     return out
+
+
+def _factor_tables(n, lo, rows, dtype=np.uint32):
+    """or_table of the rows of bits 0..lo-1 and of bits lo..n-1."""
+    return or_table(lo, rows[:lo], dtype), or_table(n - lo, rows[lo:], dtype)
 
 
 def single_closures(n, sup_pairs):
@@ -70,30 +82,75 @@ def _bit_views(table, i):
 
 
 class SubsetEngine:
-    """Tables over all 2^n subsets; semantics are filters over them.
+    """Factor tables over n elements; semantics are filters over their join.
 
-    rng[m]: the elements m attacks. cl[m]: the closure of m. closures[a]:
-    a set defends a iff its range meets every mask in closures[a].
+    rng = (rng_lo, rng_hi) and cl = (cl_lo, cl_hi): rng_lo[l] is the range
+    of the low half l and rng_hi[h] that of the high half h << lo, both as
+    n-bit masks, and cl likewise for the closure; lo is the log2 of the
+    low tables' length. A set's range and closure are the OR of its
+    halves' entries. closures[a]: a set defends a iff its range meets
+    every mask in closures[a].
     """
 
     def __init__(self, n, rng, cl, closures):
         self.n = n
-        self.size = 1 << n
-        self.full = np.uint32(self.size - 1)
-        self.rng = rng
-        self.cl = cl
+        self.full = np.uint32((1 << n) - 1)
+        self.rng_lo, self.rng_hi = rng
+        self.cl_lo, self.cl_hi = cl
+        self.lo = len(self.rng_lo).bit_length() - 1
+        self.low = np.uint32((1 << self.lo) - 1)
         self.closures = closures
-        idx = np.arange(self.size, dtype=np.uint32)
-        self.closed = cl == idx
-        idx &= rng
-        self.conflict_free = idx == 0
+
+    def _halves(self, masks):
+        return masks & self.low, masks >> np.uint32(self.lo)
+
+    def range_of(self, masks):
+        """The elements each set attacks."""
+        lo, hi = self._halves(masks)
+        return self.rng_lo[lo] | self.rng_hi[hi]
 
     def candidate_masks(self):
-        return np.flatnonzero(self.conflict_free & self.closed).astype(np.uint32)
+        """Conflict-free closed sets, in ascending order."""
+        return self._join(conflict_free=True, closed=True)
+
+    def conflict_free_masks(self):
+        return self._join(conflict_free=True, closed=False)
+
+    def closed_masks(self):
+        return self._join(conflict_free=False, closed=True)
+
+    def _join(self, conflict_free, closed):
+        """The sets l | h, ascending, of a low half l and a high half h.
+
+        Each half passes its own tests: conflict-free, it does not attack
+        itself; closed, its closure adds no bit of its own factor. Each
+        pair passes the cross tests: conflict-free, no half attacks a bit
+        of the other (`avoid`: a half's range bits in the other factor);
+        closed, each half's closure bits in the other factor (`need`) lie
+        in the other half. With bits = avoid | need and key = half | need,
+        a pair passes both iff (bits_l | bits_h) & (key_l ^ key_h) == 0,
+        as long as no half's avoid and need meet; such a half is in no
+        set that passes. Halves and pairs are tested in blocks of at most
+        JOIN_ENTRIES, so the temporaries stay small whatever the factors'
+        sizes.
+        """
+        lows, lo_bits, lo_key = _factor_halves(
+            self.rng_lo, self.cl_lo, 0, self.low, conflict_free, closed)
+        highs, hi_bits, hi_key = _factor_halves(
+            self.rng_hi, self.cl_hi, self.lo, self.full ^ self.low,
+            conflict_free, closed)
+        out = [np.zeros(0, dtype=np.uint32)]
+        step = max(1, JOIN_ENTRIES // max(len(lows), 1))
+        for s in range(0, len(highs), step):
+            bad = hi_bits[s:s + step, None] | lo_bits
+            bad &= hi_key[s:s + step, None] ^ lo_key
+            h, l = np.divmod(np.flatnonzero(bad == 0), len(lows))
+            out.append(highs[s + h] | lows[l])
+        return np.concatenate(out)
 
     def gamma(self, masks):
         """Defended-element mask for each set, closure-aware."""
-        rng_m = self.rng[masks]
+        rng_m = self.range_of(masks)
         out = np.zeros(len(masks), dtype=np.uint32)
         for a in range(self.n):
             ok = np.ones(len(masks), dtype=bool)
@@ -106,16 +163,17 @@ class SubsetEngine:
         return (cand & ~g) == 0
 
     def stable_masks(self):
-        closed_masks = np.flatnonzero(self.closed).astype(np.uint32)
-        ok = self.rng[closed_masks] == (self.full ^ closed_masks)
-        return closed_masks[ok]
+        cand = self._join(conflict_free=True, closed=True)
+        return cand[self.range_of(cand) == (self.full ^ cand)]
 
     def premise_tables(self, premise_masks):
-        return or_table(self.n, premise_masks, dtype=np.uint64)
+        """Premise union of every low half and every high half."""
+        return _factor_tables(self.n, self.lo, premise_masks, np.uint64)
 
     def exhaustive_flags(self, cand, premise_masks, premise_union):
         """Sets already containing every argument their premises afford."""
-        pu = premise_union[cand]
+        lo, hi = self._halves(cand)
+        pu = premise_union[0][lo] | premise_union[1][hi]
         ok = np.ones(len(cand), dtype=bool)
         for a in range(self.n):
             pa = np.uint64(premise_masks[a])
@@ -123,6 +181,24 @@ class SubsetEngine:
             present = (cand >> np.uint32(a)) & np.uint32(1) == 1
             ok &= present | ~covered
         return ok
+
+
+def _factor_halves(rng, cl, shift, part, conflict_free, closed):
+    """The halves of one factor (bits `part`, from bit `shift` up) that
+    pass their own tests, with their bits and keys (see `_join`)."""
+    out = []
+    for s in range(0, len(rng), JOIN_ENTRIES):
+        r, c = rng[s:s + JOIN_ENTRIES], cl[s:s + JOIN_ENTRIES]
+        half = np.arange(s, s + len(r), dtype=np.uint32) << np.uint32(shift)
+        avoid = r & ~part if conflict_free else np.zeros_like(half)
+        need = c & ~part if closed else np.zeros_like(half)
+        keep = (avoid & need) == 0
+        if conflict_free:
+            keep &= (r & half) == 0
+        if closed:
+            keep &= (c & part) == half
+        out.append((half[keep], (avoid | need)[keep], (half | need)[keep]))
+    return [np.concatenate(col) for col in zip(*out)]
 
 
 # ---------------------------------------------------------------- builders
@@ -138,7 +214,9 @@ def baf_engine(n, att_pairs, sup_pairs, limit=ENUM_LIMIT):
         attackers[t].add(s)
     cl1 = single_closures(n, sup_pairs)
     closures = [sorted({cl1[b] for b in attackers[a]}) for a in range(n)]
-    return SubsetEngine(n, or_table(n, att_rows), or_table(n, cl1), closures)
+    lo = n // 2
+    return SubsetEngine(n, _factor_tables(n, lo, att_rows),
+                        _factor_tables(n, lo, cl1), closures)
 
 
 def theory_tables(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
@@ -210,7 +288,8 @@ def aba_engine(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
     del minimal_for  # a full table, freed before the engine's own
     closures = [np.unique(cl[derivers[(targets >> np.uint32(a)) & 1 == 1]]).tolist()
                 for a in range(k)]
-    return SubsetEngine(k, rng, cl, closures)
+    empty = np.zeros(1, dtype=np.uint32)  # the high factor: no bits
+    return SubsetEngine(k, (rng, empty), (cl, empty), closures)
 
 
 # ----------------------------------------------------------------- filters
@@ -219,7 +298,7 @@ def _extension_masks(eng, semantics, exhaustive=None):
     """Extension masks of one semantics. `exhaustive(cand)`, when given,
     flags the candidates kept before defense is read (pBAF premises)."""
     if semantics == "cf":
-        return np.flatnonzero(eng.conflict_free).astype(np.uint32)
+        return eng.conflict_free_masks()
     if semantics == "stb":
         return eng.stable_masks()
     if semantics not in SEMANTICS:
@@ -269,6 +348,48 @@ def intersect_masks(masks, full):
     for m in masks:
         out &= int(m)
     return int(out) if len(masks) else 0
+
+
+# entry b: the byte b with its bits in reverse order, and its bit count
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
+                          dtype=np.int64)
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def _dictionary_rank(masks, n):
+    """Position of each mask among all 2^n sets listed in the
+    lexicographic order of their sorted member tuples, a prefix first.
+
+    From the empty set (position 0), a set a1 < ... < ak is reached by
+    one step per member, each step to a_i first skipping the sets that
+    continue the prefix with some v between a_(i-1) and a_i, 2^(n-1-v)
+    of them per v. Summed, with r the mask's bits reversed within n bits,
+    that is 2^n + k - r - (lowest bit of r).
+    """
+    m = masks.astype(np.int64)
+    r = np.zeros(len(m), dtype=np.int64)
+    k = np.zeros(len(m), dtype=np.int64)
+    for shift in range(0, 32, 8):
+        byte = (m >> shift) & 255
+        r |= _REVERSED_BYTE[byte] << (24 - shift)
+        k += _BYTE_BITS[byte]
+    r >>= 32 - n
+    return np.where(m == 0, 0, (1 << n) + k - r - (r & -r))
+
+
+def mask_sets(masks, labels):
+    """The frozensets of labels the masks stand for (bit i is labels[i]),
+    ordered by their sorted bit tuples, a prefix first."""
+    masks = np.asarray(masks, dtype=np.uint32)
+    masks = masks[np.argsort(_dictionary_rank(masks, len(labels)), kind="stable")]
+    members = [()] * len(masks)
+    for k in range(0, len(labels), 8):
+        table = [()]  # table[b]: the labels of the bits set in byte b
+        for x in labels[k:k + 8]:
+            table += [t + (x,) for t in table]
+        column = ((masks >> np.uint32(k)) & np.uint32(255)).tolist()
+        members = [t + table[b] for t, b in zip(members, column)]
+    return [frozenset(t) for t in members]
 
 
 def decide(task, query, element, extensions):
