@@ -11,15 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from . import masks
 from .errors import CapExceeded, NotAnAssumption, ParseError
-from .masks import ENUM_LIMIT, SEMANTICS
+from .masks import DEFENSE_MODES, ENUM_LIMIT
+from .textio import directives, index, integer
 
 ARGUMENT_CAP = 5000
-
-DEFENSE_MODES = ("closed-sets", "attacker-closure")
 
 
 @dataclass(frozen=True)
@@ -108,15 +105,16 @@ class AbaFramework:
 
     # mask helpers ----------------------------------------------------
 
-    def _element(self, name):
+    def resolve(self, name):
+        """The bit index of an assumption."""
         if name not in self._asm_ix:
             raise NotAnAssumption(f"{name!r} is not an assumption")
-        return name
+        return self._asm_ix[name]
 
     def _asm_mask(self, names):
         m = 0
         for a in names:
-            m |= 1 << self._asm_ix[self._element(a)]
+            m |= 1 << self.resolve(a)
         return m
 
     def _asm_names(self, mask):
@@ -238,15 +236,13 @@ def aba_defends(frame: AbaFramework, defender, assumption, mode="closed-sets",
     the closure of each argument's support; it needs argument enumeration
     and therefore honours `cap`.
     """
-    i = frame._asm_ix[frame._element(assumption)]
+    i = frame.resolve(assumption)
     if mode not in DEFENSE_MODES:
         raise ValueError(f"unknown defense mode {mode!r}")
     attacked = frame._attacked_mask(frame._theory_mask(frame._asm_mask(defender)))
     if mode == "closed-sets":
         eng = engine if engine is not None else frame.engine()
-        closed = eng.closed_masks()
-        attackers = closed[(eng.range_of(closed) >> np.uint32(i)) & 1 == 1]
-        return bool(np.all(attackers & attacked))
+        return masks.closed_set_defends(eng, attacked, i)
     target_atom = frame.contrary[assumption]
     for arg in enumerate_arguments(frame, cap):
         if arg.conclusion != target_atom:
@@ -265,10 +261,13 @@ def aba_extensions(frame: AbaFramework, semantics, limit=ENUM_LIMIT, engine=None
     stable go through the same filters. `engine`, when given, is
     `frame.engine()` built once for several calls.
     """
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    eng = engine if engine is not None else frame.engine(limit)
-    return masks.mask_sets(masks._extension_masks(eng, semantics), frame.assumptions)
+    return masks.mask_sets(_assumption_masks(frame, semantics, limit, engine),
+                           frame.assumptions)
+
+
+def _assumption_masks(frame, semantics, limit=ENUM_LIMIT, engine=None):
+    return masks._extension_masks(
+        lambda: engine if engine is not None else frame.engine(limit), semantics)
 
 
 def aba_decide(frame: AbaFramework, task, semantics, query=None, limit=ENUM_LIMIT):
@@ -277,8 +276,9 @@ def aba_decide(frame: AbaFramework, task, semantics, query=None, limit=ENUM_LIMI
     cred: query assumption lies in some extension. skept: in every extension
     (vacuously true when there are none). ver: the query set is an extension.
     """
-    return masks.decide(task, query, frame._element,
-                        lambda: aba_extensions(frame, semantics, limit))
+    result = masks.decide(task, query, frame.resolve,
+                          lambda: _assumption_masks(frame, semantics, limit))
+    return masks.mask_sets(result, frame.assumptions) if task == "enumerate" else result
 
 
 # ------------------------------------------------------------------ text io
@@ -298,23 +298,14 @@ def parse_aba(text):
     contrary_ix = {}
     rules_ix = []
     names = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts, line in directives(text, "aba"):
         if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
             if len(parts) != 3 or parts[1] != "aba":
                 raise ParseError("expected 'p aba <n>'", lineno)
-            n = _int(parts[2], lineno)
+            n = integer(parts[2], lineno)
             if n < 0:
                 raise ParseError("negative atom count", lineno)
-            continue
-        if n is None:
-            raise ParseError("missing 'p aba <n>' header", lineno)
-        if parts[0] == "a":
+        elif parts[0] == "a":
             if len(parts) != 2:
                 raise ParseError("expected 'a <i>'", lineno)
             asm.append(_atom(parts[1], n, lineno))
@@ -337,8 +328,6 @@ def parse_aba(text):
             names[i] = line.split(None, 2)[2]
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    if n is None:
-        raise ParseError("missing 'p aba <n>' header")
     asm_set = set(asm)
     for i in contrary_ix:
         if i not in asm_set:
@@ -372,15 +361,5 @@ def format_aba(frame: AbaFramework):
     return "\n".join(out) + "\n"
 
 
-def _int(token, lineno):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", lineno) from None
-
-
 def _atom(token, n, lineno):
-    i = _int(token, lineno)
-    if not 1 <= i <= n:
-        raise ParseError(f"atom id {i} out of range 1..{n}", lineno)
-    return i
+    return index(integer(token, lineno), 1, n, "atom", lineno)

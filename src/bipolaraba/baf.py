@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import masks
 from .errors import ParseError, SupportsPresent, TooLarge
-from .masks import ENUM_LIMIT, SEMANTICS
+from .masks import DEFENSE_MODES, ENUM_LIMIT, SEMANTICS
+from .textio import directives, index, nonneg
 
-DEFENSE_MODES = ("closed-sets", "attacker-closure")
 AF_LIMIT = 16
 
 
@@ -101,10 +103,6 @@ def attack_range(frame: Baf, ext):
     return frozenset(t for s, t in frame.att if s in members)
 
 
-def _attacks_set(frame, members, target):
-    return any(s in members and t in target for s, t in frame.att)
-
-
 def baf_defends(frame: Baf, ext, arg, mode="attacker-closure"):
     """Closure-aware defense of one argument by a set.
 
@@ -114,25 +112,11 @@ def baf_defends(frame: Baf, ext, arg, mode="attacker-closure"):
     """
     if mode not in DEFENSE_MODES:
         raise ValueError(f"unknown defense mode {mode!r}")
-    members = {frame.resolve(x) for x in ext}
+    rng = attack_range(frame, ext)
     a = frame.resolve(arg)
-    if mode == "attacker-closure":
-        for b, t in frame.att:
-            if t != a:
-                continue
-            if not _attacks_set(frame, members, baf_closure(frame, {b})):
-                return False
-        return True
-    if frame.n > ENUM_LIMIT:
-        raise TooLarge("argument count", frame.n, ENUM_LIMIT)
-    attackers = {b for b, t in frame.att if t == a}
-    for m in range(1 << frame.n):
-        group = {i for i in range(frame.n) if m >> i & 1}
-        if baf_closure(frame, group) != frozenset(group):
-            continue
-        if group & attackers and not _attacks_set(frame, members, group):
-            return False
-    return True
+    if mode == "closed-sets":
+        return masks.closed_set_defends(frame.engine(), sum(1 << t for t in rng), a)
+    return all(rng & baf_closure(frame, {b}) for b, t in frame.att if t == a)
 
 
 def characteristic(frame: Baf, ext):
@@ -153,17 +137,11 @@ def is_exhaustive(pframe: Pbaf, ext):
 
 # ------------------------------------------------------------- enumeration
 
-def _family(frame: Baf, mask_list):
-    return masks.mask_sets(mask_list, range(frame.n))
-
-
 def baf_extensions(frame: Baf, semantics, limit=ENUM_LIMIT, engine=None):
     """Enumerate extensions under the closed-set semantics. `engine`, when
     given, is `frame.engine()` built once for several calls."""
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    eng = engine if engine is not None else frame.engine(limit)
-    return _family(frame, masks._extension_masks(eng, semantics))
+    return masks.mask_sets(_graph_masks(frame, semantics, limit, engine),
+                           range(frame.n))
 
 
 def pbaf_extensions(pframe: Pbaf, semantics, limit=ENUM_LIMIT, engine=None):
@@ -173,19 +151,22 @@ def pbaf_extensions(pframe: Pbaf, semantics, limit=ENUM_LIMIT, engine=None):
     conflict-free sets are taken from the underlying BAF unchanged.
     `engine`, when given, is `pframe.baf.engine()`.
     """
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    frame = pframe.baf
-    eng = engine if engine is not None else frame.engine(limit)
-    if semantics in ("cf", "stb"):
-        return _family(frame, masks._extension_masks(eng, semantics))
-    premise_masks = _premise_masks(pframe)
-    table = eng.premise_tables(premise_masks)
+    return masks.mask_sets(_graph_masks(pframe, semantics, limit, engine),
+                           range(pframe.baf.n))
 
-    def exhaustive(cand):
-        return eng.exhaustive_flags(cand, premise_masks, table)
 
-    return _family(frame, masks._extension_masks(eng, semantics, exhaustive))
+def _graph_masks(frame, semantics, limit=ENUM_LIMIT, engine=None):
+    """Extension masks of a Baf or a Pbaf."""
+    base = frame.baf if isinstance(frame, Pbaf) else frame
+    exhaustive = None
+    if isinstance(frame, Pbaf):
+        def exhaustive(eng, cand):
+            premise_masks = _premise_masks(frame)
+            return eng.exhaustive_flags(cand, premise_masks,
+                                        eng.premise_tables(premise_masks))
+    return masks._extension_masks(
+        lambda: engine if engine is not None else base.engine(limit),
+        semantics, exhaustive)
 
 
 def _premise_masks(pframe: Pbaf):
@@ -209,6 +190,10 @@ def af_extensions(frame: Baf, semantics, limit=AF_LIMIT):
     scan, attacker-wise defense, grounded as the least complete set) so the
     two routes can be compared on degenerate inputs.
     """
+    return masks.mask_sets(_af_masks(frame, semantics, limit), range(frame.n))
+
+
+def _af_masks(frame: Baf, semantics, limit):
     if frame.sup:
         raise SupportsPresent("framework has support edges")
     if semantics not in SEMANTICS:
@@ -231,7 +216,7 @@ def af_extensions(frame: Baf, semantics, limit=AF_LIMIT):
         return all(any(x in attackers[b] for x in ms) for b in attackers[a])
 
     if semantics == "cf":
-        return _family(frame, [m for m in range(1 << n) if cf(members(m))])
+        return [m for m in range(1 << n) if cf(members(m))]
     if semantics == "stb":
         out = []
         for m in range(1 << n):
@@ -239,7 +224,7 @@ def af_extensions(frame: Baf, semantics, limit=AF_LIMIT):
             rng = {t for s, t in atts if s in ms}
             if not ms & rng and rng == set(range(n)) - ms:
                 out.append(m)
-        return _family(frame, out)
+        return out
     admissible = []
     complete = []
     for m in range(1 << n):
@@ -251,16 +236,14 @@ def af_extensions(frame: Baf, semantics, limit=AF_LIMIT):
             if all(a in ms for a in range(n) if defends(ms, a)):
                 complete.append(m)
     if semantics == "ad":
-        return _family(frame, admissible)
+        return admissible
     if semantics == "co":
-        return _family(frame, complete)
+        return complete
     if semantics == "gr":
-        least = [m for m in complete
-                 if not any(o != m and o & ~m == 0 for o in complete)]
-        return _family(frame, least)
-    maximal = [m for m in admissible
-               if not any(o != m and m & ~o == 0 for o in admissible)]
-    return _family(frame, maximal)
+        return [m for m in complete
+                if not any(o != m and o & ~m == 0 for o in complete)]
+    return [m for m in admissible
+            if not any(o != m and m & ~o == 0 for o in admissible)]
 
 
 # ----------------------------------------------------------------- tasks
@@ -273,15 +256,18 @@ def baf_decide(frame, task, semantics, query=None, limit=ENUM_LIMIT,
     family is vacuously true. The classic route keeps its own, lower
     limit.
     """
+    base, source = _source(frame, semantics, limit, classic)
+    result = masks.decide(task, query, base.resolve, source)
+    return masks.mask_sets(result, range(base.n)) if task == "enumerate" else result
+
+
+def _source(frame, semantics, limit=ENUM_LIMIT, classic=False):
+    """The underlying Baf of a Baf or a Pbaf and its extension-mask source."""
     base = frame.baf if isinstance(frame, Pbaf) else frame
     if classic:
-        solve, target, limit = af_extensions, base, min(limit, AF_LIMIT)
-    elif isinstance(frame, Pbaf):
-        solve, target = pbaf_extensions, frame
-    else:
-        solve, target = baf_extensions, frame
-    return masks.decide(task, query, base.resolve,
-                        lambda: solve(target, semantics, limit))
+        return base, lambda: np.array(
+            _af_masks(base, semantics, min(limit, AF_LIMIT)), dtype=np.uint32)
+    return base, lambda: _graph_masks(frame, semantics, limit)
 
 
 # ---------------------------------------------------------------- text io
@@ -295,19 +281,14 @@ def parse_baf(text):
     name <i> <s>    optional display name
     # ...           comment; 'arg' annotation lines are ignored
     """
-    n, att, sup, names = _parse_graph(text, "baf")
-    return Baf(n, att, sup, _names(n, names))
+    return Baf(*_parse_graph(text, "baf")[:4])
 
 
 def parse_pbaf(text):
     """Like parse_baf plus a premise bound and 'prem <i> <p...>' lines."""
     n, att, sup, names, bound, prem = _parse_graph(text, "pbaf", premises=True)
     premises = [frozenset(prem.get(i, ())) for i in range(n)]
-    return Pbaf(Baf(n, att, sup, _names(n, names)), premises, bound)
-
-
-def _names(n, names):
-    return [names.get(i, str(i)) for i in range(n)]
+    return Pbaf(Baf(n, att, sup, names), premises, bound)
 
 
 def _parse_graph(text, kind, premises=False):
@@ -316,28 +297,17 @@ def _parse_graph(text, kind, premises=False):
     att, sup = [], []
     names = {}
     prem = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts, line in directives(text, kind, skip=("arg",)):
         if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
             want = 4 if premises else 3
             if len(parts) != want or parts[1] != kind:
                 raise ParseError(f"expected 'p {kind} <n>'"
                                  + (" with a premise bound" if premises else ""),
                                  lineno)
-            n = _nonneg(parts[2], lineno)
+            n = nonneg(parts[2], lineno)
             if premises:
-                bound = _nonneg(parts[3], lineno)
-            continue
-        if parts[0] == "arg":
-            continue
-        if n is None:
-            raise ParseError(f"missing 'p {kind} <n>' header", lineno)
-        if parts[0] in ("att", "sup"):
+                bound = nonneg(parts[3], lineno)
+        elif parts[0] in ("att", "sup"):
             if len(parts) != 3:
                 raise ParseError(f"expected '{parts[0]} <i> <j>'", lineno)
             edge = (_arg_id(parts[1], n, lineno), _arg_id(parts[2], n, lineno))
@@ -350,7 +320,7 @@ def _parse_graph(text, kind, premises=False):
             if len(parts) < 2:
                 raise ParseError("expected 'prem <i> <p...>'", lineno)
             i = _arg_id(parts[1], n, lineno)
-            vals = [_nonneg(p, lineno) for p in parts[2:]]
+            vals = [nonneg(p, lineno) for p in parts[2:]]
             for v in vals:
                 if v >= bound:
                     raise ParseError(f"premise id {v} not below bound {bound}",
@@ -358,11 +328,11 @@ def _parse_graph(text, kind, premises=False):
             prem[i] = vals
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    if n is None:
-        raise ParseError(f"missing 'p {kind} <n>' header")
-    if premises:
-        return n, att, sup, names, bound, prem
-    return n, att, sup, names
+    return n, att, sup, [names.get(i, str(i)) for i in range(n)], bound, prem
+
+
+def _arg_id(token, n, lineno):
+    return index(nonneg(token, lineno), 0, n - 1, "argument", lineno)
 
 
 def format_baf(frame: Baf, annotations=()):
@@ -389,20 +359,3 @@ def format_pbaf(pframe: Pbaf, annotations=()):
         if nm != str(i):
             out.append(f"name {i} {nm}")
     return "\n".join(out) + "\n"
-
-
-def _nonneg(token, lineno):
-    try:
-        v = int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", lineno) from None
-    if v < 0:
-        raise ParseError(f"expected a non-negative integer, got {v}", lineno)
-    return v
-
-
-def _arg_id(token, n, lineno):
-    v = _nonneg(token, lineno)
-    if v >= n:
-        raise ParseError(f"argument id {v} out of range 0..{n - 1}", lineno)
-    return v

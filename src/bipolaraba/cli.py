@@ -16,13 +16,12 @@ import argparse
 import json
 import sys
 
-from . import harness
-from .aba import ARGUMENT_CAP, aba_decide, parse_aba
-from .baf import (Pbaf, baf_decide, format_baf, format_pbaf, parse_baf,
-                  parse_pbaf)
+from . import aba, baf, harness
+from .aba import ARGUMENT_CAP, parse_aba
+from .baf import Pbaf, format_baf, format_pbaf, parse_baf, parse_pbaf
 from .errors import (CapExceeded, ParseError, SolverError, TooLarge)
 from .instantiate import describe_arguments, instantiate_baf, instantiate_pbaf
-from .masks import SEMANTICS, TASKS
+from .masks import SEMANTICS, TASKS, decide, mask_members
 from .reductions import (construct_gr_baf, construct_sat_baf,
                          construct_skept_baf, construct_skept_pbaf,
                          parse_dimacs)
@@ -60,8 +59,19 @@ def load_framework(text):
 
 # ------------------------------------------------------------------- solve
 
-def _render_members(frame_names, ext):
-    return [frame_names[i] for i in sorted(ext)]
+def _decider(kind, frame, sigma, classic):
+    """The query-item-to-bit map and the extension-mask source of a
+    framework, and the labels and bit order its members print in: (p)BAF
+    arguments by id, ABA assumptions by name."""
+    if classic and kind != "baf":
+        raise SolverError("classic Dung semantics apply to plain BAF files")
+    if kind == "aba":
+        labels = frame.assumptions
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        return (frame.resolve, lambda: aba._assumption_masks(frame, sigma),
+                labels, order)
+    base, source = baf._source(frame, sigma, classic=classic)
+    return base.resolve, source, base.names, None
 
 
 def run_solve(args):
@@ -82,35 +92,22 @@ def run_solve(args):
         raise SolverError(f"task {task} needs --query")
     if task == "ver" and query is None:
         raise SolverError("task ver needs --query with a comma-separated set")
-    if kind == "aba":
-        if args.classic:
-            raise SolverError("classic Dung semantics apply to plain BAF files")
-        if task == "ver":
-            query = [q for q in query.split(",") if q]
-        result = aba_decide(frame, task, args.sigma, query)
-        rendered = (sorted(sorted(e) for e in result)
-                    if task == "enumerate" else None)
-    else:
-        base = frame.baf if isinstance(frame, Pbaf) else frame
-        if args.classic and isinstance(frame, Pbaf):
-            raise SolverError("classic Dung semantics apply to plain BAF files")
-        if task == "ver":
-            query = [q for q in query.split(",") if q]
-        result = baf_decide(frame, task, args.sigma, query,
-                            classic=args.classic)
-        rendered = ([_render_members(base.names, e) for e in result]
-                    if task == "enumerate" else None)
+    bit, extension_masks, labels, order = _decider(kind, frame, args.sigma,
+                                                   args.classic)
+    if task == "ver":
+        query = [q for q in query.split(",") if q]
+    result = decide(task, query, bit, extension_masks)
+    rendered = (mask_members(result, labels, order)
+                if task == "enumerate" else None)
     if args.format == "json":
-        payload = {
+        print(json.dumps({
             "semantics": args.sigma,
             "task": task,
             "query": args.query,
             "extensions": rendered,
-            "answer": None if task == "enumerate" else bool(result),
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    if task == "enumerate":
+            "answer": None if task == "enumerate" else result,
+        }, sort_keys=True))
+    elif task == "enumerate":
         for members in rendered:
             print("[" + ",".join(members) + "]")
         print(f"count: {len(rendered)}")

@@ -32,6 +32,9 @@ from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_skept_pbaf)
 
 CORRESPONDENCE_ARG_LIMIT = 24
+CHECK_ARGUMENT_CAP = 2000
+# attacker-closure defense walks the arguments in Python for every pair
+DEFENSE_ASSUMPTION_LIMIT = 8
 
 
 # -------------------------------------------------------------- generators
@@ -169,7 +172,7 @@ def _fmt_asm(s):
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def check_correspondence(frame: AbaFramework, cap=2000,
+def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
                          arg_limit=CORRESPONDENCE_ARG_LIMIT, label="",
                          targets=("baf", "pbaf"), semantics=None) -> CheckReport:
     """Extensions of the framework against extensions of its argument graph.
@@ -251,7 +254,8 @@ def check_correspondence(frame: AbaFramework, cap=2000,
 
 # ------------------------------------------------------ defense equivalence
 
-def check_defense_equivalence(frame, label="", cap=2000) -> CheckReport:
+def check_defense_equivalence(frame, label="",
+                              cap=CHECK_ARGUMENT_CAP) -> CheckReport:
     """Compare closed-set defense with attacker-closure defense on every
     (set, element) pair. Accepts a Baf or an AbaFramework."""
     if isinstance(frame, AbaFramework):
@@ -298,8 +302,9 @@ def _baf_defense_equivalence(frame: Baf, label) -> CheckReport:
 def _aba_defense_equivalence(frame: AbaFramework, label, cap) -> CheckReport:
     rep = CheckReport()
     n = len(frame.assumptions)
-    if n > 8:
-        rep.skip("defense-equivalence", label, f"{n} assumptions, limit 8")
+    if n > DEFENSE_ASSUMPTION_LIMIT:
+        rep.skip("defense-equivalence", label,
+                 f"{n} assumptions, limit {DEFENSE_ASSUMPTION_LIMIT}")
         return rep
     try:
         enumerate_arguments(frame, cap)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .aba import ARGUMENT_CAP, AbaFramework, aba_closure, enumerate_arguments
 from .baf import Baf, Pbaf
-from .errors import NotAnAssumption
 
 
 @dataclass
@@ -72,8 +71,7 @@ def arguments_for(inst: Instantiation, assumption_set):
     """Ids of every argument whose support lies inside the given set."""
     s = frozenset(assumption_set)
     for a in s:
-        if a not in inst.source._asm_ix:
-            raise NotAnAssumption(f"{a!r} is not an assumption")
+        inst.source.resolve(a)
     return frozenset(i for i, arg in enumerate(inst.arguments)
                      if arg.support <= s)
 

@@ -26,6 +26,7 @@ from .errors import TooLarge
 ENUM_LIMIT = 24
 PREMISE_LIMIT = 63
 SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
+DEFENSE_MODES = ("closed-sets", "attacker-closure")
 TASKS = ("enumerate", "cred", "skept", "ver")
 # largest mask-pair matrix maximal_masks builds instead of its 2^n tables
 PAIRWISE_LIMIT = 1 << 20
@@ -294,19 +295,21 @@ def aba_engine(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
 
 # ----------------------------------------------------------------- filters
 
-def _extension_masks(eng, semantics, exhaustive=None):
-    """Extension masks of one semantics. `exhaustive(cand)`, when given,
-    flags the candidates kept before defense is read (pBAF premises)."""
+def _extension_masks(engine, semantics, exhaustive=None):
+    """Extension masks of one semantics from the engine `engine()`, built
+    once the name is checked. `exhaustive(eng, cand)`, when given, flags
+    the candidates kept before defense is read (pBAF premises)."""
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    eng = engine()
     if semantics == "cf":
         return eng.conflict_free_masks()
     if semantics == "stb":
         return eng.stable_masks()
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
     cand = eng.candidate_masks()
     g = eng.gamma(cand)
     if exhaustive is not None:
-        keep = exhaustive(cand)
+        keep = exhaustive(eng, cand)
         cand, g = cand[keep], g[keep]
     if semantics == "ad":
         return cand[eng.admissible_flags(cand, g)]
@@ -315,7 +318,16 @@ def _extension_masks(eng, semantics, exhaustive=None):
     if semantics == "pr":
         return maximal_masks(cand[eng.admissible_flags(cand, g)], eng.n)
     co = cand[cand == g]
-    return np.array([intersect_masks(co, eng.full)], dtype=np.uint32)
+    least = np.bitwise_and.reduce(co, initial=eng.full) if len(co) else 0
+    return np.array([least], dtype=np.uint32)
+
+
+def closed_set_defends(eng, attacked, a):
+    """Defense by the definition: every closed set that attacks element a
+    meets `attacked`, the mask of what the defending set attacks."""
+    closed = eng.closed_masks()
+    attackers = closed[(eng.range_of(closed) >> np.uint32(a)) & 1 == 1]
+    return bool(np.all(attackers & np.uint32(attacked)))
 
 
 def maximal_masks(masks, n):
@@ -341,13 +353,6 @@ def maximal_masks(masks, n):
         without = _bit_views(strictly_below, i)[0]
         without |= _bit_views(below, i)[1]
     return masks[~strictly_below[masks]]
-
-
-def intersect_masks(masks, full):
-    out = full
-    for m in masks:
-        out &= int(m)
-    return int(out) if len(masks) else 0
 
 
 # entry b: the byte b with its bits in reverse order, and its bit count
@@ -377,10 +382,17 @@ def _dictionary_rank(masks, n):
     return np.where(m == 0, 0, (1 << n) + k - r - (r & -r))
 
 
-def mask_sets(masks, labels):
-    """The frozensets of labels the masks stand for (bit i is labels[i]),
-    ordered by their sorted bit tuples, a prefix first."""
+def mask_members(masks, labels, order=None):
+    """The member tuples of the masks, bit i standing for labels[i]. Each
+    tuple lists its members in bit order and the tuples are in the
+    lexicographic order of these lists, a prefix first. `order`, when
+    given, is the bit order to use: a list of all bit indices."""
     masks = np.asarray(masks, dtype=np.uint32)
+    if order is not None:
+        moved = np.zeros_like(masks)
+        for j, i in enumerate(order):
+            moved |= ((masks >> np.uint32(i)) & np.uint32(1)) << np.uint32(j)
+        masks, labels = moved, [labels[i] for i in order]
     masks = masks[np.argsort(_dictionary_rank(masks, len(labels)), kind="stable")]
     members = [()] * len(masks)
     for k in range(0, len(labels), 8):
@@ -389,25 +401,31 @@ def mask_sets(masks, labels):
             table += [t + (x,) for t in table]
         column = ((masks >> np.uint32(k)) & np.uint32(255)).tolist()
         members = [t + table[b] for t, b in zip(members, column)]
-    return [frozenset(t) for t in members]
+    return members
 
 
-def decide(task, query, element, extensions):
-    """The task dispatch of both formalisms.
+def mask_sets(masks, labels):
+    """The frozensets of labels the masks stand for (bit i is labels[i]),
+    ordered by their sorted bit tuples, a prefix first."""
+    return [frozenset(t) for t in mask_members(masks, labels)]
 
-    enumerate: the family itself. cred: the query is in some extension.
+
+def decide(task, query, bit, extension_masks):
+    """The task dispatch of every formalism, on extension masks.
+
+    enumerate: the masks themselves. cred: the query is in some extension.
     skept: in every extension (vacuously true when there are none). ver:
-    the query set is an extension. `element` checks and maps one query
-    item; `extensions()` enumerates the family once the query is checked.
+    the query set is an extension. `bit` checks one query item and gives
+    its bit index; `extension_masks()` enumerates the family once the
+    query is checked.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     if task == "enumerate":
-        return extensions()
+        return extension_masks()
     if task == "ver":
-        target = frozenset(element(x) for x in query)
-        return target in extensions()
-    a = element(query)
-    if task == "cred":
-        return any(a in ext for ext in extensions())
-    return all(a in ext for ext in extensions())
+        target = np.uint32(sum({1 << bit(x) for x in query}))
+        return bool(np.any(extension_masks() == target))
+    b = np.uint32(1 << bit(query))
+    hit = extension_masks() & b
+    return bool(hit.any() if task == "cred" else hit.all())

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,3 +341,54 @@ def test_repeated_runs_are_byte_identical(capsys, aba_file, baf_file):
         second = run(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+# ------------------------------------------------------------ golden output
+
+DATA = Path(__file__).parent / "data"
+
+
+def solve_transcript(capsys, path):
+    """`solve` output for every semantics, as text and as JSON."""
+    out = []
+    for sigma in ("cf", "ad", "co", "gr", "pr", "stb"):
+        for fmt in ("text", "json"):
+            code, stdout, _ = run(capsys, "solve", str(path), "--sigma", sigma,
+                                  "--format", fmt)
+            assert code == 0
+            out.append(f"$ solve {path.name} --sigma {sigma} --format {fmt}\n")
+            out.append(stdout)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", ["golden.pbaf", "golden.aba"])
+def test_solve_output_is_pinned(capsys, name):
+    # pBAF members print in id order, whatever their names; ABA members
+    # print in name order, so a10 comes before a2
+    want = (DATA / f"{name}.out").read_text()
+    assert solve_transcript(capsys, DATA / name) == want
+
+
+# ------------------------------------------------------------- memory bound
+
+def test_decisions_on_two_to_the_22_extensions_fit_in_memory(tmp_path):
+    # an attack-free frame of 22 arguments has 2^22 admissible sets: a
+    # decision tests their masks and builds no set per extension
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "free.baf"
+    path.write_text("p baf 22\n")
+    limit = 3 << 29  # 1.5 GB of address space
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    for task, query in (("ver", "0,1"), ("cred", "0")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bipolaraba.cli", "solve", str(path),
+             "--sigma", "ad", "--task", task, "--query", query],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory,
+            timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "YES\n"), proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from bipolaraba import (Cnf, GenParams, Pbaf, aba_closure, aba_decide,
-                        aba_extensions, af_extensions, baf_closure,
+                        aba_extensions, af_extensions, baf_closure, baf_decide,
                         baf_defends, baf_extensions, check_defense_equivalence,
                         format_aba, format_baf, format_dimacs, format_pbaf,
                         is_exhaustive, parse_aba, parse_baf, parse_dimacs,
@@ -12,7 +12,8 @@ from bipolaraba import (Cnf, GenParams, Pbaf, aba_closure, aba_decide,
                         random_pbaf)
 from bipolaraba.masks import or_table, single_closures
 from reference_impl import (family, naive_aba_extensions,
-                            naive_baf_extensions, naive_pbaf_extensions)
+                            naive_baf_extensions, naive_pbaf_extensions,
+                            powerset)
 
 SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
 seeds = st.integers(0, 10 ** 6)
@@ -228,3 +229,50 @@ def test_baf_text_round_trip(frame):
 @given(pbaf_frames(max_n=8))
 def test_pbaf_text_round_trip(pframe):
     assert parse_pbaf(format_pbaf(pframe)) == pframe
+
+
+# ---------------------------------------------------------------- decisions
+
+def assert_decisions(decide, exts, items):
+    """cred and skept of every item and ver of every set of items against
+    a reference family."""
+    for a in items:
+        assert decide("cred", a) == any(a in e for e in exts), ("cred", a)
+        assert decide("skept", a) == all(a in e for e in exts), ("skept", a)
+    for s in powerset(items):
+        assert decide("ver", s) == (frozenset(s) in exts), ("ver", s)
+
+
+@settings(deadline=None, max_examples=25)
+@given(aba_frames(max_atoms=5, max_assumptions=3))
+def test_aba_tasks_match_naive_families(frame):
+    for sigma in SEMANTICS:
+        assert_decisions(lambda task, q: aba_decide(frame, task, sigma, q),
+                         naive_aba_extensions(frame, sigma), frame.assumptions)
+
+
+@settings(deadline=None, max_examples=25)
+@given(baf_frames(max_n=5))
+def test_baf_decisions_match_naive_families(frame):
+    for sigma in SEMANTICS:
+        assert_decisions(lambda task, q: baf_decide(frame, task, sigma, q),
+                         naive_baf_extensions(frame, sigma), range(frame.n))
+
+
+@settings(deadline=None, max_examples=25)
+@given(pbaf_frames(max_n=5))
+def test_pbaf_decisions_match_naive_families(pframe):
+    for sigma in SEMANTICS:
+        assert_decisions(lambda task, q: baf_decide(pframe, task, sigma, q),
+                         naive_pbaf_extensions(pframe, sigma),
+                         range(pframe.baf.n))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 5), seeds)
+def test_classic_decisions_match_naive_families(n, seed):
+    frame = random_baf(n, seed, p_sup=0.0)
+    for sigma in SEMANTICS:
+        assert_decisions(
+            lambda task, q: baf_decide(frame, task, sigma, q, classic=True),
+            naive_baf_extensions(frame, sigma), range(n))
