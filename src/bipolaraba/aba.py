@@ -13,7 +13,7 @@ from itertools import product
 
 from . import masks
 from .errors import CapExceeded, NotAnAssumption, ParseError
-from .masks import DEFENSE_MODES, ENUM_LIMIT
+from .masks import DEFENSE_MODES
 from .textio import directives, index, integer
 
 ARGUMENT_CAP = 5000
@@ -98,10 +98,10 @@ class AbaFramework:
         return (f"AbaFramework({len(self.atoms)} atoms, "
                 f"{len(self.assumptions)} assumptions, {len(self.rules)} rules)")
 
-    def engine(self, limit=ENUM_LIMIT):
+    def engine(self):
         """The subset engine over all assumption sets."""
         return masks.aba_engine(len(self.assumptions), len(self.atoms),
-                                self._rules_ix, self._contrary_ix, limit)
+                                self._rules_ix, self._contrary_ix)
 
     # mask helpers ----------------------------------------------------
 
@@ -253,7 +253,7 @@ def aba_defends(frame: AbaFramework, defender, assumption, mode="closed-sets",
     return True
 
 
-def aba_extensions(frame: AbaFramework, semantics, limit=ENUM_LIMIT, engine=None):
+def aba_extensions(frame: AbaFramework, semantics, engine=None):
     """Enumerate extensions with the subset engine.
 
     Conflict-freeness and closedness are required across the board, and
@@ -261,23 +261,18 @@ def aba_extensions(frame: AbaFramework, semantics, limit=ENUM_LIMIT, engine=None
     stable go through the same filters. `engine`, when given, is
     `frame.engine()` built once for several calls.
     """
-    return masks.mask_sets(_assumption_masks(frame, semantics, limit, engine),
+    return masks.mask_sets(masks._extension_masks(frame, semantics, engine),
                            frame.assumptions)
 
 
-def _assumption_masks(frame, semantics, limit=ENUM_LIMIT, engine=None):
-    return masks._extension_masks(
-        lambda: engine if engine is not None else frame.engine(limit), semantics)
-
-
-def aba_decide(frame: AbaFramework, task, semantics, query=None, limit=ENUM_LIMIT):
+def aba_decide(frame: AbaFramework, task, semantics, query=None):
     """Decide credulous / skeptical acceptance or verify a candidate set.
 
     cred: query assumption lies in some extension. skept: in every extension
     (vacuously true when there are none). ver: the query set is an extension.
     """
     result = masks.decide(task, query, frame.resolve,
-                          lambda: _assumption_masks(frame, semantics, limit))
+                          lambda: masks._extension_masks(frame, semantics))
     return masks.mask_sets(result, frame.assumptions) if task == "enumerate" else result
 
 

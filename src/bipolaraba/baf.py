@@ -14,7 +14,7 @@ import numpy as np
 
 from . import masks
 from .errors import ParseError, SupportsPresent, TooLarge
-from .masks import DEFENSE_MODES, ENUM_LIMIT, SEMANTICS
+from .masks import DEFENSE_MODES, SEMANTICS
 from .textio import directives, index, nonneg
 
 AF_LIMIT = 16
@@ -41,9 +41,9 @@ class Baf:
             raise ValueError("need one distinct name per argument")
         self._name_ix = {nm: i for i, nm in enumerate(self.names)}
 
-    def engine(self, limit=ENUM_LIMIT):
+    def engine(self):
         """The subset engine over all argument sets."""
-        return masks.baf_engine(self.n, self.att, self.sup, limit)
+        return masks.baf_engine(self.n, self.att, self.sup)
 
     def resolve(self, ref):
         """Accept an argument name or a numeric id."""
@@ -80,6 +80,19 @@ class Pbaf:
             for p in ps:
                 if not 0 <= p < self.premise_bound:
                     raise ValueError(f"premise id {p} out of range")
+
+    def engine(self):
+        """The subset engine of the underlying BAF."""
+        return self.baf.engine()
+
+    def premise_masks(self):
+        """Each argument's premise set as a bitmask over the premise ids
+        in use, in ascending order."""
+        ids = sorted({p for ps in self.premises for p in ps})
+        if len(ids) > masks.PREMISE_LIMIT:
+            raise TooLarge("premise universe", len(ids), masks.PREMISE_LIMIT)
+        pos = {p: k for k, p in enumerate(ids)}
+        return [sum(1 << pos[p] for p in ps) for ps in self.premises]
 
 
 # ------------------------------------------------------------- set algebra
@@ -137,70 +150,42 @@ def is_exhaustive(pframe: Pbaf, ext):
 
 # ------------------------------------------------------------- enumeration
 
-def baf_extensions(frame: Baf, semantics, limit=ENUM_LIMIT, engine=None):
+def baf_extensions(frame: Baf, semantics, engine=None):
     """Enumerate extensions under the closed-set semantics. `engine`, when
     given, is `frame.engine()` built once for several calls."""
-    return masks.mask_sets(_graph_masks(frame, semantics, limit, engine),
+    return masks.mask_sets(masks._extension_masks(frame, semantics, engine),
                            range(frame.n))
 
 
-def pbaf_extensions(pframe: Pbaf, semantics, limit=ENUM_LIMIT, engine=None):
+def pbaf_extensions(pframe: Pbaf, semantics, engine=None):
     """Premise-aware extensions.
 
     Admissibility additionally requires exhaustiveness; stable and
     conflict-free sets are taken from the underlying BAF unchanged.
-    `engine`, when given, is `pframe.baf.engine()`.
+    `engine`, when given, is `pframe.engine()`.
     """
-    return masks.mask_sets(_graph_masks(pframe, semantics, limit, engine),
+    return masks.mask_sets(masks._extension_masks(pframe, semantics, engine),
                            range(pframe.baf.n))
 
 
-def _graph_masks(frame, semantics, limit=ENUM_LIMIT, engine=None):
-    """Extension masks of a Baf or a Pbaf."""
-    base = frame.baf if isinstance(frame, Pbaf) else frame
-    exhaustive = None
-    if isinstance(frame, Pbaf):
-        def exhaustive(eng, cand):
-            premise_masks = _premise_masks(frame)
-            return eng.exhaustive_flags(cand, premise_masks,
-                                        eng.premise_tables(premise_masks))
-    return masks._extension_masks(
-        lambda: engine if engine is not None else base.engine(limit),
-        semantics, exhaustive)
-
-
-def _premise_masks(pframe: Pbaf):
-    ids = sorted({p for ps in pframe.premises for p in ps})
-    if len(ids) > masks.PREMISE_LIMIT:
-        raise TooLarge("premise universe", len(ids), masks.PREMISE_LIMIT)
-    pos = {p: k for k, p in enumerate(ids)}
-    out = []
-    for ps in pframe.premises:
-        m = 0
-        for p in ps:
-            m |= 1 << pos[p]
-        out.append(m)
-    return out
-
-
-def af_extensions(frame: Baf, semantics, limit=AF_LIMIT):
+def af_extensions(frame: Baf, semantics):
     """Textbook Dung semantics for support-free frameworks.
 
     Implemented independently of the closed-set machinery (plain subset
     scan, attacker-wise defense, grounded as the least complete set) so the
     two routes can be compared on degenerate inputs.
     """
-    return masks.mask_sets(_af_masks(frame, semantics, limit), range(frame.n))
+    return masks.mask_sets(_af_masks(frame, semantics), range(frame.n))
 
 
-def _af_masks(frame: Baf, semantics, limit):
+def _af_masks(frame: Baf, semantics):
     if frame.sup:
         raise SupportsPresent("framework has support edges")
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     n = frame.n
-    if n > limit:
-        raise TooLarge("argument count", n, limit)
+    if n > AF_LIMIT:
+        raise TooLarge("argument count", n, AF_LIMIT)
     atts = frame.att
     attackers = [set() for _ in range(n)]
     for s, t in atts:
@@ -248,26 +233,25 @@ def _af_masks(frame: Baf, semantics, limit):
 
 # ----------------------------------------------------------------- tasks
 
-def baf_decide(frame, task, semantics, query=None, limit=ENUM_LIMIT,
-               classic=False):
+def baf_decide(frame, task, semantics, query=None, classic=False):
     """Credulous / skeptical / verification tasks over one semantics.
 
     `frame` may be a Baf or a Pbaf. Skeptical acceptance over an empty
-    family is vacuously true. The classic route keeps its own, lower
-    limit.
+    family is vacuously true. The engine route takes up to ENUM_LIMIT
+    arguments; the classic route, a plain scan, only up to AF_LIMIT.
     """
-    base, source = _source(frame, semantics, limit, classic)
+    base, source = _source(frame, semantics, classic)
     result = masks.decide(task, query, base.resolve, source)
     return masks.mask_sets(result, range(base.n)) if task == "enumerate" else result
 
 
-def _source(frame, semantics, limit=ENUM_LIMIT, classic=False):
+def _source(frame, semantics, classic=False):
     """The underlying Baf of a Baf or a Pbaf and its extension-mask source."""
     base = frame.baf if isinstance(frame, Pbaf) else frame
     if classic:
-        return base, lambda: np.array(
-            _af_masks(base, semantics, min(limit, AF_LIMIT)), dtype=np.uint32)
-    return base, lambda: _graph_masks(frame, semantics, limit)
+        return base, lambda: np.array(_af_masks(base, semantics),
+                                      dtype=np.uint32)
+    return base, lambda: masks._extension_masks(frame, semantics)
 
 
 # ---------------------------------------------------------------- text io
@@ -328,7 +312,10 @@ def _parse_graph(text, kind, premises=False):
             prem[i] = vals
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    return n, att, sup, [names.get(i, str(i)) for i in range(n)], bound, prem
+    labels = [names.get(i, str(i)) for i in range(n)]
+    if len(set(labels)) != n:
+        raise ParseError("duplicate argument names")
+    return n, att, sup, labels, bound, prem
 
 
 def _arg_id(token, n, lineno):

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from . import aba, baf, harness
+from . import baf, harness, masks
 from .aba import ARGUMENT_CAP, parse_aba
 from .baf import Pbaf, format_baf, format_pbaf, parse_baf, parse_pbaf
 from .errors import (CapExceeded, ParseError, SolverError, TooLarge)
@@ -68,7 +68,7 @@ def _decider(kind, frame, sigma, classic):
     if kind == "aba":
         labels = frame.assumptions
         order = sorted(range(len(labels)), key=labels.__getitem__)
-        return (frame.resolve, lambda: aba._assumption_masks(frame, sigma),
+        return (frame.resolve, lambda: masks._extension_masks(frame, sigma),
                 labels, order)
     base, source = baf._source(frame, sigma, classic=classic)
     return base.resolve, source, base.names, None
@@ -153,6 +153,14 @@ def run_reduce(args):
 
 
 # -------------------------------------------------------------------- fuzz
+
+def _positive(text):
+    """A --count of at least 1: a run that checks nothing must not pass."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
 
 def run_fuzz(args):
     report = harness.CheckReport()
@@ -260,7 +268,7 @@ def build_parser():
     p.add_argument("--checks", nargs="+",
                    choices=("correspondence", "defense-eq", "constructions"),
                    default=["correspondence", "defense-eq", "constructions"])
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_positive, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=run_fuzz)

@@ -27,13 +27,15 @@ from .baf import (Baf, Pbaf, baf_closure, baf_defends, baf_extensions,
 from .errors import CapExceeded, TooLarge
 from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
                           is_assumption_exhaustive)
+from .masks import _defended
 from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_sat_baf, construct_skept_baf,
                          construct_skept_pbaf)
 
 CORRESPONDENCE_ARG_LIMIT = 24
 CHECK_ARGUMENT_CAP = 2000
-# attacker-closure defense walks the arguments in Python for every pair
+# closed-set defense (`_not_defended`) loops in Python over the closed
+# sets, up to 2^n of them, each a pass over all 2^n sets
 DEFENSE_ASSUMPTION_LIMIT = 8
 
 
@@ -257,10 +259,60 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
 def check_defense_equivalence(frame, label="",
                               cap=CHECK_ARGUMENT_CAP) -> CheckReport:
     """Compare closed-set defense with attacker-closure defense on every
-    (set, element) pair. Accepts a Baf or an AbaFramework."""
+    (set, element) pair. Accepts a Baf, whose engine holds the attackers'
+    closures, or an AbaFramework, whose attackers are the arguments that
+    conclude a contrary."""
+    rep = CheckReport()
     if isinstance(frame, AbaFramework):
-        return _aba_defense_equivalence(frame, label, cap)
-    return _baf_defense_equivalence(frame, label)
+        n = len(frame.assumptions)
+        if n > DEFENSE_ASSUMPTION_LIMIT:
+            rep.skip("defense-equivalence", label,
+                     f"{n} assumptions, limit {DEFENSE_ASSUMPTION_LIMIT}")
+            return rep
+        try:
+            args = enumerate_arguments(frame, cap)
+        except CapExceeded:
+            rep.skip("defense-equivalence", label, f"argument cap {cap} exceeded")
+            return rep
+        eng = frame.engine()
+        closures = [
+            sorted({frame._asm_mask(aba_closure(frame, arg.support))
+                    for arg in args if arg.conclusion == frame.contrary[a]})
+            for a in frame.assumptions]
+
+        def mismatch(m, i):
+            s = [a for j, a in enumerate(frame.assumptions) if m >> j & 1]
+            a = frame.assumptions[i]
+            left = aba_defends(frame, s, a, mode="closed-sets", engine=eng)
+            right = aba_defends(frame, s, a, mode="attacker-closure", cap=cap)
+            return (f"S={_fmt_asm(s)} a={a} closed-sets={left} "
+                    f"attacker-closure={right}")
+    else:
+        try:
+            eng = frame.engine()
+        except TooLarge as exc:
+            rep.skip("defense-equivalence", label, str(exc))
+            return rep
+        closures = eng.closures
+
+        def mismatch(m, a):
+            ext = [i for i in range(frame.n) if m >> i & 1]
+            return (f"E={ext} a={a} "
+                    f"attacker-closure={baf_defends(frame, ext, a)} "
+                    f"closed-sets={baf_defends(frame, ext, a, mode='closed-sets')}")
+    every = np.arange(1 << eng.n, dtype=np.uint32)
+    rng = eng.range_of(every)
+    via_attcl = _defended(rng, closures)
+    via_closed = eng.full & ~_not_defended(rng, eng.closed_masks())
+    bad = np.flatnonzero(via_attcl != via_closed)
+    if len(bad) == 0:
+        rep.add("defense-equivalence", label, True, f"{len(every) * eng.n} pairs")
+        return rep
+    m = int(bad[0])
+    diff = int(via_attcl[m] ^ via_closed[m])
+    rep.add("defense-equivalence", label, False,
+            mismatch(m, (diff & -diff).bit_length() - 1))
+    return rep
 
 
 def _not_defended(rng, closed_masks):
@@ -271,64 +323,6 @@ def _not_defended(rng, closed_masks):
         if rng[t]:
             out[(rng & np.uint32(t)) == 0] |= rng[t]
     return out
-
-
-def _baf_defense_equivalence(frame: Baf, label) -> CheckReport:
-    rep = CheckReport()
-    try:
-        eng = frame.engine()
-    except TooLarge as exc:
-        rep.skip("defense-equivalence", label, str(exc))
-        return rep
-    every = np.arange(1 << frame.n, dtype=np.uint32)
-    via_attcl = eng.gamma(every)
-    via_closed = eng.full & ~_not_defended(eng.range_of(every), eng.closed_masks())
-    mismatch = np.flatnonzero(via_attcl != via_closed)
-    if len(mismatch) == 0:
-        rep.add("defense-equivalence", label, True,
-                f"{len(every) * frame.n} pairs")
-        return rep
-    m = int(mismatch[0])
-    ext = [i for i in range(frame.n) if m >> i & 1]
-    diff = int(via_attcl[m] ^ via_closed[m])
-    a = diff.bit_length() - 1
-    confirm = (baf_defends(frame, ext, a, mode="attacker-closure"),
-               baf_defends(frame, ext, a, mode="closed-sets"))
-    rep.add("defense-equivalence", label, False,
-            f"E={ext} a={a} attacker-closure={confirm[0]} closed-sets={confirm[1]}")
-    return rep
-
-
-def _aba_defense_equivalence(frame: AbaFramework, label, cap) -> CheckReport:
-    rep = CheckReport()
-    n = len(frame.assumptions)
-    if n > DEFENSE_ASSUMPTION_LIMIT:
-        rep.skip("defense-equivalence", label,
-                 f"{n} assumptions, limit {DEFENSE_ASSUMPTION_LIMIT}")
-        return rep
-    try:
-        enumerate_arguments(frame, cap)
-    except CapExceeded:
-        rep.skip("defense-equivalence", label, f"argument cap {cap} exceeded")
-        return rep
-    eng = frame.engine()
-    not_defended = _not_defended(
-        eng.range_of(np.arange(1 << n, dtype=np.uint32)), eng.closed_masks())
-    pairs = 0
-    for m in range(1 << n):
-        s = [a for i, a in enumerate(frame.assumptions) if m >> i & 1]
-        for i, a in enumerate(frame.assumptions):
-            pairs += 1
-            via_closed = not not_defended[m] >> i & 1
-            right = aba_defends(frame, s, a, mode="attacker-closure", cap=cap)
-            if via_closed != right:
-                left = aba_defends(frame, s, a, mode="closed-sets", engine=eng)
-                rep.add("defense-equivalence", label, False,
-                        f"S={_fmt_asm(s)} a={a} closed-sets={left} "
-                        f"attacker-closure={right}")
-                return rep
-    rep.add("defense-equivalence", label, True, f"{pairs} pairs")
-    return rep
 
 
 # ------------------------------------------------------------ constructions

@@ -71,9 +71,9 @@ def single_closures(n, sup_pairs):
     return closures
 
 
-def _check_size(what, n, limit):
-    if n > min(limit, ENUM_LIMIT):
-        raise TooLarge(what, n, min(limit, ENUM_LIMIT))
+def _check_size(what, n):
+    if n > ENUM_LIMIT:
+        raise TooLarge(what, n, ENUM_LIMIT)
 
 
 def _bit_views(table, i):
@@ -151,14 +151,7 @@ class SubsetEngine:
 
     def gamma(self, masks):
         """Defended-element mask for each set, closure-aware."""
-        rng_m = self.range_of(masks)
-        out = np.zeros(len(masks), dtype=np.uint32)
-        for a in range(self.n):
-            ok = np.ones(len(masks), dtype=bool)
-            for c in self.closures[a]:
-                ok &= (rng_m & np.uint32(c)) != 0
-            out |= ok.astype(np.uint32) << np.uint32(a)
-        return out
+        return _defended(self.range_of(masks), self.closures)
 
     def admissible_flags(self, cand, g):
         return (cand & ~g) == 0
@@ -184,6 +177,18 @@ class SubsetEngine:
         return ok
 
 
+def _defended(rng, closures):
+    """For each range mask, the elements a it defends: those whose every
+    mask in closures[a] it meets."""
+    out = np.zeros(len(rng), dtype=np.uint32)
+    for a, need in enumerate(closures):
+        ok = np.ones(len(rng), dtype=bool)
+        for c in need:
+            ok &= (rng & np.uint32(c)) != 0
+        out |= ok.astype(np.uint32) << np.uint32(a)
+    return out
+
+
 def _factor_halves(rng, cl, shift, part, conflict_free, closed):
     """The halves of one factor (bits `part`, from bit `shift` up) that
     pass their own tests, with their bits and keys (see `_join`)."""
@@ -204,10 +209,10 @@ def _factor_halves(rng, cl, shift, part, conflict_free, closed):
 
 # ---------------------------------------------------------------- builders
 
-def baf_engine(n, att_pairs, sup_pairs, limit=ENUM_LIMIT):
+def baf_engine(n, att_pairs, sup_pairs):
     """Engine over the arguments of a BAF: defending a means attacking the
     support closure of every attacker of a."""
-    _check_size("argument count", n, limit)
+    _check_size("argument count", n)
     att_rows = [0] * n
     attackers = [set() for _ in range(n)]
     for s, t in att_pairs:
@@ -220,7 +225,7 @@ def baf_engine(n, att_pairs, sup_pairs, limit=ENUM_LIMIT):
                         _factor_tables(n, lo, cl1), closures)
 
 
-def theory_tables(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
+def theory_tables(k, n_atoms, rules, contrary):
     """cl and rng of every assumption mask, by forward chaining.
 
     Atoms 0..k-1 are the assumptions, in mask bit order; rules are
@@ -229,7 +234,7 @@ def theory_tables(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
     row per atom, so any number of atoms fits. Every rule is applied as
     th[head] |= AND of th[body] until nothing changes.
     """
-    _check_size("assumption count", k, limit)
+    _check_size("assumption count", k)
     facts = sorted({h for h, body in rules if not body})
     rules = [(h, body) for h, body in rules if body]
     derived = [h for h in sorted({h for h, _ in rules} | set(facts)) if h < k]
@@ -269,7 +274,7 @@ def theory_tables(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
     return cl, rng
 
 
-def aba_engine(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
+def aba_engine(k, n_atoms, rules, contrary):
     """Engine over the assumptions of an ABA framework (encoded as in
     `theory_tables`).
 
@@ -277,7 +282,7 @@ def aba_engine(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
     deriving the contrary of a. Because the theory is monotone, M is
     minimal for a exactly when a is in rng[M] and in no rng[M - {i}].
     """
-    cl, rng = theory_tables(k, n_atoms, rules, contrary, limit)
+    cl, rng = theory_tables(k, n_atoms, rules, contrary)
     minimal_for = np.zeros_like(rng)  # first: OR of rng[M - {i}] over i in M
     for i in range(k):
         with_i = _bit_views(minimal_for, i)[1]
@@ -295,21 +300,25 @@ def aba_engine(k, n_atoms, rules, contrary, limit=ENUM_LIMIT):
 
 # ----------------------------------------------------------------- filters
 
-def _extension_masks(engine, semantics, exhaustive=None):
-    """Extension masks of one semantics from the engine `engine()`, built
-    once the name is checked. `exhaustive(eng, cand)`, when given, flags
-    the candidates kept before defense is read (pBAF premises)."""
+def _extension_masks(frame, semantics, engine=None):
+    """Extension masks of one semantics over a Baf, a Pbaf or an
+    AbaFramework. The engine is `engine`, `frame.engine()` built once for
+    several calls, or else built once the name is checked. A frame with
+    premises (a Pbaf) keeps only its exhaustive candidates before defense
+    is read."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    eng = engine()
+    eng = engine if engine is not None else frame.engine()
     if semantics == "cf":
         return eng.conflict_free_masks()
     if semantics == "stb":
         return eng.stable_masks()
     cand = eng.candidate_masks()
     g = eng.gamma(cand)
-    if exhaustive is not None:
-        keep = exhaustive(eng, cand)
+    if hasattr(frame, "premise_masks"):
+        premise_masks = frame.premise_masks()
+        keep = eng.exhaustive_flags(cand, premise_masks,
+                                    eng.premise_tables(premise_masks))
         cand, g = cand[keep], g[keep]
     if semantics == "ad":
         return cand[eng.admissible_flags(cand, g)]

@@ -177,8 +177,12 @@ def test_extensions_motivating(motivating):
 
 
 def test_extensions_guard(ex22):
-    with pytest.raises(TooLarge):
-        aba_extensions(ex22, "ad", limit=3)
+    # 25 assumptions, one past ENUM_LIMIT: refused before any table exists
+    asms = [f"a{i}" for i in range(25)]
+    wide = AbaFramework(asms + ["x"], asms, {a: "x" for a in asms}, [])
+    with pytest.raises(TooLarge) as exc:
+        aba_extensions(wide, "ad")
+    assert (exc.value.value, exc.value.limit) == (25, 24)
     with pytest.raises(ValueError):
         aba_extensions(ex22, "nope")
 

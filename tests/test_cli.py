@@ -263,10 +263,15 @@ def test_fuzz_all_checks_by_default(capsys):
     assert "0 failures" in out
 
 
-def test_fuzz_count_zero_empty_report(capsys):
-    code, out, _ = run(capsys, "fuzz", "--count", "0")
-    assert code == 0
-    assert out == "0 checks, 0 failures, 0 skipped\n"
+@pytest.mark.parametrize("count", ["0", "-3", "two"])
+def test_fuzz_count_below_one_rejected(capsys, count):
+    # a run that checks nothing must not exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count: expected a positive integer" in captured.err
 
 
 # -------------------------------------------------------------- export-dot
@@ -304,6 +309,16 @@ def test_exit_code_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2
     assert "parse error:" in err
+
+
+@pytest.mark.parametrize("header", ["p baf 2", "p pbaf 2 1"])
+def test_exit_code_duplicate_argument_names(capsys, tmp_path, header):
+    path = tmp_path / "dup.txt"
+    path.write_text(f"{header}\nname 0 x\nname 1 x\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: duplicate argument names\n"
 
 
 def test_exit_code_unknown_header(capsys, tmp_path):

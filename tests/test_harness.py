@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from bipolaraba import (CheckReport, Cnf, GenParams,
-                        check_construction_lemmas, check_correspondence,
-                        check_defense_equivalence, brute_force_sat,
-                        random_aba, random_baf, random_cnf, random_pbaf)
+from bipolaraba import (CheckReport, Cnf, GenParams, aba_defends,
+                        baf_defends, check_construction_lemmas,
+                        check_correspondence, check_defense_equivalence,
+                        brute_force_sat, random_aba, random_baf, random_cnf,
+                        random_pbaf)
+from bipolaraba import harness
 from bipolaraba.harness import exhaustive_three_var_cnfs
 from conftest import (build_ex22, build_ex32, build_ex38, build_ex44,
                       build_motivating)
@@ -210,6 +212,32 @@ def test_defense_equivalence_aba():
     for seed in range(10):
         rep = check_defense_equivalence(random_aba(GenParams(seed=seed)))
         assert rep.failures == []
+
+
+def test_defense_equivalence_reports_first_mismatch(monkeypatch):
+    real = harness._not_defended
+
+    def flipped(rng, closed_masks):
+        out = real(rng, closed_masks).copy()
+        out[6] ^= 1 << 1
+        out[3] ^= 1 << 2  # the first: set {0,1} on element 2
+        return out
+
+    monkeypatch.setattr(harness, "_not_defended", flipped)
+    frame = build_ex32()
+    rep = check_defense_equivalence(frame, label="ex32")
+    via_attcl = baf_defends(frame, [0, 1], 2)
+    via_closed = baf_defends(frame, [0, 1], 2, mode="closed-sets")
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("fail", f"E=[0, 1] a=2 attacker-closure={via_attcl} "
+                 f"closed-sets={via_closed}")]
+    frame = build_ex22()
+    rep = check_defense_equivalence(frame, label="ex22")
+    via_closed = aba_defends(frame, ["a", "b"], "c")
+    via_attcl = aba_defends(frame, ["a", "b"], "c", mode="attacker-closure")
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("fail", f"S={{a,b}} a=c closed-sets={via_closed} "
+                 f"attacker-closure={via_attcl}")]
 
 
 def test_defense_equivalence_skips():

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipolaraba import (Baf, GenParams, aba_closure, attack_range, attacks,
-                        baf_closure, baf_extensions, random_aba, random_baf)
+from bipolaraba import (Baf, GenParams, Pbaf, aba_closure, aba_decide,
+                        aba_extensions, attack_range, attacks, baf_closure,
+                        baf_decide, baf_extensions, pbaf_extensions,
+                        random_aba, random_baf)
 from bipolaraba import masks
+from conftest import build_ex22, build_ex32
 from reference_impl import family
 
 
@@ -134,3 +137,24 @@ def test_mask_sets_order_by_sorted_member_tuples(case):
     got = masks.mask_sets(sorted(found, reverse=True), labels)
     want = sorted(found, key=lambda m: tuple(i for i in range(n) if m >> i & 1))
     assert got == [frozenset(members(m, labels)) for m in want]
+
+
+def test_unknown_semantics_is_refused_before_an_engine_is_built(monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(masks, "baf_engine", no_engine)
+    monkeypatch.setattr(masks, "aba_engine", no_engine)
+    baf, aba = build_ex32(), build_ex22()
+    pbaf = Pbaf(baf, [frozenset()] * baf.n, 0)
+    with pytest.raises(AssertionError, match="engine built"):
+        baf_extensions(baf, "co")
+    calls = [lambda: baf_extensions(baf, "nope"),
+             lambda: pbaf_extensions(pbaf, "nope"),
+             lambda: aba_extensions(aba, "nope"),
+             lambda: baf_decide(baf, "cred", "nope", "x"),
+             lambda: baf_decide(pbaf, "enumerate", "nope"),
+             lambda: aba_decide(aba, "cred", "nope", "a")]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown semantics"):
+            call()
