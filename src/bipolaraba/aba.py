@@ -9,7 +9,9 @@ Extensions come from the subset engine in `masks`, the same filters the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
+
+import numpy as np
 
 from . import masks
 from .errors import CapExceeded, NotAnAssumption, ParseError
@@ -82,9 +84,7 @@ class AbaFramework:
         self._rules_ix = [(bit[h], tuple(bit[b] for b in body))
                           for h, body in self.rules]
         self._contrary_ix = [bit[self.contrary[a]] for a in self.assumptions]
-        self._rule_bits = [(1 << h, sum(1 << b for b in set(body)))
-                           for h, body in self._rules_ix]
-        self._arg_memo = {}
+        self._memo = {}  # per (what, cap): results built from the arguments
 
     def __eq__(self, other):
         if not isinstance(other, AbaFramework):
@@ -111,56 +111,29 @@ class AbaFramework:
             raise NotAnAssumption(f"{name!r} is not an assumption")
         return self._asm_ix[name]
 
-    def _asm_mask(self, names):
-        m = 0
-        for a in names:
-            m |= 1 << self.resolve(a)
-        return m
-
-    def _asm_names(self, mask):
-        return frozenset(a for i, a in enumerate(self.assumptions) if mask >> i & 1)
-
-    def _theory_mask(self, asm_mask):
-        """Forward chaining from one assumption set: every rule whose body
-        holds fires, until none does."""
-        cur = asm_mask
-        changed = True
-        while changed:
-            changed = False
-            for head_bit, body_mask in self._rule_bits:
-                if body_mask & ~cur == 0 and not cur & head_bit:
-                    cur |= head_bit
-                    changed = True
-        return cur
-
-    def _closure_mask(self, th):
-        return th & ((1 << len(self.assumptions)) - 1)
-
-    def _attacked_mask(self, th):
-        """The assumptions whose contrary the theory contains."""
-        m = 0
-        for i, c in enumerate(self._contrary_ix):
-            if th >> c & 1:
-                m |= 1 << i
-        return m
+    def _theories(self, sets):
+        """`masks.forward_chain` from each assumption set at once: row i,
+        column j says whether atom bit i is derived from sets[j]."""
+        th = np.zeros((len(self._bit_atoms), len(sets)), dtype=bool)
+        for j, names in enumerate(sets):
+            th[[self.resolve(a) for a in names], j] = True
+        return masks.forward_chain(th, self._rules_ix)
 
 
 def theory(frame: AbaFramework, names):
     """Everything derivable from subsets of the given assumption set."""
-    th = frame._theory_mask(frame._asm_mask(names))
-    return frozenset(p for i, p in enumerate(frame._bit_atoms) if th >> i & 1)
+    return frozenset(compress(frame._bit_atoms, frame._theories([names])[:, 0]))
 
 
 def aba_closure(frame: AbaFramework, names):
     """Derivable assumptions of an assumption set."""
-    th = frame._theory_mask(frame._asm_mask(names))
-    return frame._asm_names(frame._closure_mask(th))
+    return frozenset(compress(frame.assumptions, frame._theories([names])[:, 0]))
 
 
 def attacks(frame: AbaFramework, attacker, target):
     """Does some subset of `attacker` derive the contrary of a member of `target`?"""
-    th = frame._theory_mask(frame._asm_mask(attacker))
-    return bool(frame._attacked_mask(th) & frame._asm_mask(target))
+    th = frame._theories([attacker])[:, 0]
+    return bool(th[[frame._contrary_ix[frame.resolve(a)] for a in target]].any())
 
 
 def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
@@ -170,7 +143,7 @@ def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
     existing arguments. Raises CapExceeded when more than `cap` distinct
     arguments exist, or when the combination work itself blows up.
     """
-    cached = frame._arg_memo.get(cap)
+    cached = frame._memo.get(("arguments", cap))
     if cached is not None:
         return list(cached)
     by_concl: dict[str, list[frozenset]] = {}
@@ -220,7 +193,7 @@ def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
                 tuple(sorted(atom_rank[a] for a in support)))
 
     ordered = [Argument(s, c) for s, c in sorted(seen, key=key)]
-    frame._arg_memo[cap] = ordered
+    frame._memo["arguments", cap] = ordered
     return list(ordered)
 
 
@@ -239,18 +212,29 @@ def aba_defends(frame: AbaFramework, defender, assumption, mode="closed-sets",
     i = frame.resolve(assumption)
     if mode not in DEFENSE_MODES:
         raise ValueError(f"unknown defense mode {mode!r}")
-    attacked = frame._attacked_mask(frame._theory_mask(frame._asm_mask(defender)))
+    attacked = masks.row_masks(frame._theories([defender])[frame._contrary_ix])[0]
     if mode == "closed-sets":
         eng = engine if engine is not None else frame.engine()
         return masks.closed_set_defends(eng, attacked, i)
-    target_atom = frame.contrary[assumption]
-    for arg in enumerate_arguments(frame, cap):
-        if arg.conclusion != target_atom:
-            continue
-        th = frame._theory_mask(frame._asm_mask(arg.support))
-        if not attacked & frame._closure_mask(th):
-            return False
-    return True
+    return all(attacked & c for c in attacker_closures(frame, cap)[i])
+
+
+def attacker_closures(frame: AbaFramework, cap=ARGUMENT_CAP):
+    """For each assumption, the closure masks of the supports of the
+    arguments concluding its contrary, ascending: a set defends the
+    assumption by attacker-closure iff it attacks a member of each mask.
+    Built once per `cap` from the arguments, which it honours."""
+    key = ("attacker closures", cap)
+    if key not in frame._memo:
+        targets = set(frame.contrary.values())
+        args = [a for a in enumerate_arguments(frame, cap) if a.conclusion in targets]
+        closures = masks.row_masks(
+            frame._theories([a.support for a in args])[:len(frame.assumptions)])
+        frame._memo[key] = tuple(
+            tuple(sorted({c for a, c in zip(args, closures)
+                          if a.conclusion == frame.contrary[x]}))
+            for x in frame.assumptions)
+    return frame._memo[key]
 
 
 def aba_extensions(frame: AbaFramework, semantics, engine=None):

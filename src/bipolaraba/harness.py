@@ -16,27 +16,27 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import numpy as np
 
-from .aba import (AbaFramework, aba_closure, aba_defends, aba_extensions,
-                  enumerate_arguments)
+from .aba import (AbaFramework, aba_defends, aba_extensions,
+                  attacker_closures, enumerate_arguments)
 from .baf import (Baf, Pbaf, baf_closure, baf_defends, baf_extensions,
                   pbaf_extensions)
 from .errors import CapExceeded, TooLarge
 from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
                           is_assumption_exhaustive)
-from .masks import _defended
+from .masks import ENUM_LIMIT, _defended
 from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_sat_baf, construct_skept_baf,
                          construct_skept_pbaf)
 
-CORRESPONDENCE_ARG_LIMIT = 24
 CHECK_ARGUMENT_CAP = 2000
-# closed-set defense (`_not_defended`) loops in Python over the closed
-# sets, up to 2^n of them, each a pass over all 2^n sets
-DEFENSE_ASSUMPTION_LIMIT = 8
+# elements (BAF arguments or ABA assumptions) of a defense-equivalence
+# check: closed-set defense (`_not_defended`) loops in Python over the
+# closed sets, up to 2^n of them, each a pass over all 2^n sets
+DEFENSE_LIMIT = 8
 
 
 # -------------------------------------------------------------- generators
@@ -174,8 +174,7 @@ def _fmt_asm(s):
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
-                         arg_limit=CORRESPONDENCE_ARG_LIMIT, label="",
+def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
                          targets=("baf", "pbaf"), semantics=None) -> CheckReport:
     """Extensions of the framework against extensions of its argument graph.
 
@@ -192,9 +191,9 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
     except CapExceeded:
         rep.skip("correspondence", label, f"argument cap {cap} exceeded")
         return rep
-    if len(args) > arg_limit:
+    if len(args) > ENUM_LIMIT:
         rep.skip("correspondence", label,
-                 f"{len(args)} arguments, limit {arg_limit}")
+                 f"{len(args)} arguments, limit {ENUM_LIMIT}")
         return rep
     inst = instantiate_pbaf(frame, cap)
     aba_eng = frame.engine()
@@ -242,11 +241,10 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
         if "pbaf" in targets:
             run_side("pbaf", pbaf_family, ("ad", "co", "gr", "pr", "stb"),
                      ("ad", "co", "gr", "pr", "stb"))
-        cl_bad = []
-        for i, a in enumerate(inst.arguments):
-            graph_side = assumptions_of(inst, baf_closure(inst.baf, {i}))
-            if graph_side != aba_closure(frame, a.support):
-                cl_bad.append(str(a))
+        th = frame._theories([a.support for a in inst.arguments])
+        cl_bad = [str(a) for i, a in enumerate(inst.arguments)
+                  if assumptions_of(inst, baf_closure(inst.baf, {i}))
+                  != frozenset(compress(frame.assumptions, th[:, i]))]
         rep.add("single-argument-closure", label, not cl_bad,
                 "" if not cl_bad else cl_bad[0])
     except TooLarge as exc:
@@ -263,22 +261,20 @@ def check_defense_equivalence(frame, label="",
     closures, or an AbaFramework, whose attackers are the arguments that
     conclude a contrary."""
     rep = CheckReport()
-    if isinstance(frame, AbaFramework):
-        n = len(frame.assumptions)
-        if n > DEFENSE_ASSUMPTION_LIMIT:
-            rep.skip("defense-equivalence", label,
-                     f"{n} assumptions, limit {DEFENSE_ASSUMPTION_LIMIT}")
-            return rep
+    is_aba = isinstance(frame, AbaFramework)
+    n = len(frame.assumptions) if is_aba else frame.n
+    if n > DEFENSE_LIMIT:
+        rep.skip("defense-equivalence", label,
+                 f"{n} {'assumptions' if is_aba else 'arguments'}, "
+                 f"limit {DEFENSE_LIMIT}")
+        return rep
+    if is_aba:
         try:
-            args = enumerate_arguments(frame, cap)
+            closures = attacker_closures(frame, cap)
         except CapExceeded:
             rep.skip("defense-equivalence", label, f"argument cap {cap} exceeded")
             return rep
         eng = frame.engine()
-        closures = [
-            sorted({frame._asm_mask(aba_closure(frame, arg.support))
-                    for arg in args if arg.conclusion == frame.contrary[a]})
-            for a in frame.assumptions]
 
         def mismatch(m, i):
             s = [a for j, a in enumerate(frame.assumptions) if m >> j & 1]
@@ -288,11 +284,7 @@ def check_defense_equivalence(frame, label="",
             return (f"S={_fmt_asm(s)} a={a} closed-sets={left} "
                     f"attacker-closure={right}")
     else:
-        try:
-            eng = frame.engine()
-        except TooLarge as exc:
-            rep.skip("defense-equivalence", label, str(exc))
-            return rep
+        eng = frame.engine()
         closures = eng.closures
 
         def mismatch(m, a):

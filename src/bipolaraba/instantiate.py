@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aba import ARGUMENT_CAP, AbaFramework, aba_closure, enumerate_arguments
+from .aba import ARGUMENT_CAP, AbaFramework, enumerate_arguments
 from .baf import Baf, Pbaf
 
 
@@ -34,7 +34,7 @@ def _build(frame: AbaFramework, cap):
     args = enumerate_arguments(frame, cap)
     names = [str(a) for a in args]
     contraries = [frozenset(frame.contrary[x] for x in a.support) for a in args]
-    closures = [aba_closure(frame, a.support) for a in args]
+    th = frame._theories([a.support for a in args])
     base_index = {}
     for i, a in enumerate(args):
         if len(a.support) == 1 and a.conclusion in a.support:
@@ -46,8 +46,8 @@ def _build(frame: AbaFramework, cap):
                 att.append((x, y))
     sup = []
     for x in range(len(args)):
-        for a in frame.assumptions:
-            if a in closures[x] and base_index[a] != x:
+        for i, a in enumerate(frame.assumptions):
+            if th[i, x] and base_index[a] != x:
                 sup.append((x, base_index[a]))
     return args, names, att, sup, base_index
 

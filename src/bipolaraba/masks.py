@@ -14,10 +14,13 @@ is built: each factor table of 2^(n/2) entries is filled with a doubling
 trick, the table for masks containing element k being the table without
 k OR-ed with k's own row. An ABA theory does not distribute over union,
 so the ABA builder puts every bit in the low factor, whose tables are
-projections of a theory table filled by forward chaining over all
-assumption masks at once, and leaves the high factor empty.
+projections of a theory table over all assumption masks, and leaves the
+high factor empty. `forward_chain`, the one forward-chaining routine,
+fills that table block by block and serves any list of assumption sets.
 """
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -225,19 +228,49 @@ def baf_engine(n, att_pairs, sup_pairs):
                         _factor_tables(n, lo, cl1), closures)
 
 
+def forward_chain(th, rules):
+    """Close bool theory rows, one per atom and one column per assumption
+    set, under the rules, (head, body) atom indices, in place: a rule sets
+    th[head] |= AND of th[body] in all columns at once, a fact its whole
+    row. A rule is applied once every row of its body has a true entry,
+    and again each time one of those rows grows."""
+    users = [[] for _ in range(len(th))]
+    for r, (_, body) in enumerate(rules):
+        for b in set(body):
+            users[b].append(r)
+    live = th.any(axis=1).tolist()
+    todo = deque(range(len(rules)))
+    while todo:
+        h, body = rules[todo.popleft()]
+        if not all(live[b] for b in body):
+            continue
+        new = ~th[h]
+        for b in body:
+            new &= th[b]
+        if new.any():
+            th[h] |= new
+            live[h] = True
+            todo.extend(u for u in users[h] if u not in todo)
+    return th
+
+
+def row_masks(rows):
+    """The int mask of each column of bool rows, row i giving bit i."""
+    packed = np.packbits(rows, axis=0, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed.T]
+
+
 def theory_tables(k, n_atoms, rules, contrary):
-    """cl and rng of every assumption mask, by forward chaining.
+    """cl and rng of every assumption mask, by `forward_chain`.
 
     Atoms 0..k-1 are the assumptions, in mask bit order; rules are
     (head, body) atom indices; contrary[i] is the atom index of the
-    contrary of assumption i. The theory of a block of masks is a bool
-    row per atom, so any number of atoms fits. Every rule is applied as
-    th[head] |= AND of th[body] until nothing changes.
+    contrary of assumption i. Masks are chained in blocks of CHAIN_BYTES
+    of theory rows, so any number of atoms fits; the rows of the low mask
+    bits, the same in every block, are built once.
     """
     _check_size("assumption count", k)
-    facts = sorted({h for h, body in rules if not body})
-    rules = [(h, body) for h, body in rules if body]
-    derived = [h for h in sorted({h for h, _ in rules} | set(facts)) if h < k]
+    derived = sorted({h for h, _ in rules if h < k})
     size = 1 << k
     block = min(size, 1 << max(10, (CHAIN_BYTES // max(n_atoms, 1)).bit_length() - 1))
     low = block.bit_length() - 1
@@ -251,17 +284,7 @@ def theory_tables(k, n_atoms, rules, contrary):
         th[:low] = low_bits
         for i in range(low, k):
             th[i] = lo >> i & 1
-        th[facts] = True
-        changed = True
-        while changed:
-            changed = False
-            for h, body in rules:
-                new = ~th[h]
-                for b in body:
-                    new &= th[b]
-                if new.any():
-                    th[h] |= new
-                    changed = True
+        forward_chain(th, rules)
         # bool rows to mask bits: multiplying the rows' 0/1 bytes by the
         # bit is several times faster than a masked or shifted write
         part = cl[lo:lo + block]

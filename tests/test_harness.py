@@ -1,13 +1,14 @@
 import json
+import time
 
 import pytest
 
-from bipolaraba import (CheckReport, Cnf, GenParams, aba_defends,
-                        baf_defends, check_construction_lemmas,
+from bipolaraba import (AbaFramework, Baf, CheckReport, Cnf, GenParams,
+                        aba_defends, baf_defends, check_construction_lemmas,
                         check_correspondence, check_defense_equivalence,
                         brute_force_sat, random_aba, random_baf, random_cnf,
                         random_pbaf)
-from bipolaraba import harness
+from bipolaraba import harness, masks
 from bipolaraba.harness import exhaustive_three_var_cnfs
 from conftest import (build_ex22, build_ex32, build_ex38, build_ex44,
                       build_motivating)
@@ -174,9 +175,12 @@ def test_correspondence_skips_on_cap():
 
 
 def test_correspondence_skips_on_arg_limit():
-    rep = check_correspondence(build_ex22(), arg_limit=5, label="tight")
+    # flat, no rules: one argument per assumption, one past ENUM_LIMIT
+    asm = [f"a{i}" for i in range(25)]
+    frame = AbaFramework(asm + ["x"], asm, {a: "x" for a in asm}, [])
+    rep = check_correspondence(frame, label="tight")
     assert rep.cases_run == 0
-    assert "9 arguments" in rep.skipped[0].detail
+    assert rep.skipped[0].detail == "25 arguments, limit 24"
 
 
 def test_correspondence_fuzz_batch():
@@ -246,6 +250,26 @@ def test_defense_equivalence_skips():
     wide = random_aba(GenParams(n_atoms=10, n_assumptions=9, seed=0))
     rep = check_defense_equivalence(wide, label="wide")
     assert rep.skipped and "9 assumptions" in rep.skipped[0].detail
+
+
+def test_defense_equivalence_size_guard_comes_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(masks, "baf_engine", no_work)
+    monkeypatch.setattr(harness, "attacker_closures", no_work)
+    # an attack ring: every set is closed, so unguarded the closed-set
+    # side makes 2^16 passes over 2^16 sets
+    ring = Baf(16, [(i, (i + 1) % 16) for i in range(16)], [])
+    start = time.perf_counter()
+    rep = check_defense_equivalence(ring, label="ring")
+    assert time.perf_counter() - start < 0.5
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", "16 arguments, limit 8")]
+    wide = random_aba(GenParams(n_atoms=10, n_assumptions=9, seed=0))
+    rep = check_defense_equivalence(wide, label="wide")
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", "9 assumptions, limit 8")]
 
 
 # ------------------------------------------------------------ constructions

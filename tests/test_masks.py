@@ -1,5 +1,6 @@
 """The factor-table join of the subset engine against brute-force filters
-over all 2^n sets, and the mask-to-set conversion."""
+over all 2^n sets, forward chaining against the reference theory, and the
+mask-to-set conversion."""
 import random
 from itertools import product
 
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bipolaraba import (Baf, GenParams, Pbaf, aba_closure, aba_decide,
-                        aba_extensions, attack_range, attacks, baf_closure,
+from bipolaraba import (AbaFramework, Baf, GenParams, Pbaf, aba_closure,
+                        aba_decide, aba_extensions, attack_range, baf_closure,
                         baf_decide, baf_extensions, pbaf_extensions,
                         random_aba, random_baf)
 from bipolaraba import masks
+from bipolaraba.aba import attacker_closures
 from conftest import build_ex22, build_ex32
-from reference_impl import family
+from reference_impl import aba_att, aba_cl, aba_theory, family
 
 
 def members(m, labels):
@@ -80,11 +82,53 @@ def test_aba_join_matches_brute_force(k, n_rules, seed):
     labels = frame.assumptions
     want = brute_force(
         k, lambda m: to_mask([a for a in labels
-                              if attacks(frame, members(m, labels), [a])], labels),
-        lambda m: to_mask(aba_closure(frame, members(m, labels)), labels))
+                              if aba_att(frame, members(m, labels), [a])], labels),
+        lambda m: to_mask(aba_cl(frame, members(m, labels)), labels))
     eng = frame.engine()
     assert (eng.lo, len(eng.rng_hi)) == (k, 1)
     assert_engine_matches(eng, want)
+
+
+def assert_theories(frame, sets):
+    th = frame._theories(sets)
+    assert th.shape == (len(frame.atoms), len(sets))
+    got = [{p for p, t in zip(frame._bit_atoms, col) if t} for col in th.T]
+    assert got == [aba_theory(frame, s) for s in sets]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 6), st.integers(3, 70), st.integers(0, 40),
+       st.integers(0, 10 ** 6))
+def test_forward_chain_on_a_list_of_sets(k, extra_atoms, n_rules, seed):
+    # bodies of 0 to 3 atoms: facts, and heads that are assumptions
+    frame = random_aba(GenParams(n_atoms=k + extra_atoms, n_assumptions=k,
+                                 n_rules=n_rules, max_body=3, seed=seed))
+    labels = frame.assumptions
+    sets = [members(m, labels) for m in range(1 << k)]
+    assert_theories(frame, sets)
+    assert_theories(frame, sets[::-1] + sets[:3])
+
+
+def test_forward_chain_pinned_cases():
+    # a fact, an assumption derived from it, a chain through 70 atoms
+    chain = [f"x{i}" for i in range(70)]
+    rules = ([("f", ()), ("b", ("f",)), ("x0", ("a", "b"))]
+             + [(y, (x,)) for x, y in zip(chain, chain[1:])])
+    frame = AbaFramework(["a", "b", "f"] + chain, ["a", "b"],
+                         {"a": "x69", "b": "f"}, rules)
+    assert_theories(frame, [(), ("a",), ("b",), ("a", "b"), ("a",)])
+    assert_theories(frame, [])
+    assert [aba_closure(frame, s) for s in ((), ("a",))] == [{"b"}, {"a", "b"}]
+    no_asm = AbaFramework(["p", "q"], [], {}, [("p", ()), ("q", ("p",))])
+    assert_theories(no_asm, [()])
+    assert_theories(no_asm, [])
+    assert aba_closure(no_asm, ()) == set()
+    # closure masks wider than 64 bits
+    asm = [f"a{i}" for i in range(70)]
+    wide = AbaFramework(["x"] + asm, asm, {a: "x" for a in asm},
+                        [(y, (x,)) for x, y in zip(asm, asm[1:])]
+                        + [("x", ("a0",))])
+    assert attacker_closures(wide) == (((1 << 70) - 1,),) * 70
 
 
 def block_baf(rng, blocks, size):
