@@ -237,15 +237,14 @@ def attacker_closures(frame: AbaFramework, cap=ARGUMENT_CAP):
     return frame._memo[key]
 
 
-def aba_extensions(frame: AbaFramework, semantics, engine=None):
+def aba_extensions(frame: AbaFramework, semantics):
     """Enumerate extensions with the subset engine.
 
     Conflict-freeness and closedness are required across the board, and
     defense counter-attacks closed attacker sets, so even grounded and
-    stable go through the same filters. `engine`, when given, is
-    `frame.engine()` built once for several calls.
+    stable go through the same filters.
     """
-    return masks.mask_sets(masks._extension_masks(frame, semantics, engine),
+    return masks.mask_sets(masks.families(frame, (semantics,))[semantics],
                            frame.assumptions)
 
 
@@ -256,7 +255,7 @@ def aba_decide(frame: AbaFramework, task, semantics, query=None):
     (vacuously true when there are none). ver: the query set is an extension.
     """
     result = masks.decide(task, query, frame.resolve,
-                          lambda: masks._extension_masks(frame, semantics))
+                          lambda: masks.families(frame, (semantics,))[semantics])
     return masks.mask_sets(result, frame.assumptions) if task == "enumerate" else result
 
 

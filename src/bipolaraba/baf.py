@@ -150,21 +150,19 @@ def is_exhaustive(pframe: Pbaf, ext):
 
 # ------------------------------------------------------------- enumeration
 
-def baf_extensions(frame: Baf, semantics, engine=None):
-    """Enumerate extensions under the closed-set semantics. `engine`, when
-    given, is `frame.engine()` built once for several calls."""
-    return masks.mask_sets(masks._extension_masks(frame, semantics, engine),
+def baf_extensions(frame: Baf, semantics):
+    """Enumerate extensions under the closed-set semantics."""
+    return masks.mask_sets(masks.families(frame, (semantics,))[semantics],
                            range(frame.n))
 
 
-def pbaf_extensions(pframe: Pbaf, semantics, engine=None):
+def pbaf_extensions(pframe: Pbaf, semantics):
     """Premise-aware extensions.
 
     Admissibility additionally requires exhaustiveness; stable and
     conflict-free sets are taken from the underlying BAF unchanged.
-    `engine`, when given, is `pframe.engine()`.
     """
-    return masks.mask_sets(masks._extension_masks(pframe, semantics, engine),
+    return masks.mask_sets(masks.families(pframe, (semantics,))[semantics],
                            range(pframe.baf.n))
 
 
@@ -251,7 +249,7 @@ def _source(frame, semantics, classic=False):
     if classic:
         return base, lambda: np.array(_af_masks(base, semantics),
                                       dtype=np.uint32)
-    return base, lambda: masks._extension_masks(frame, semantics)
+    return base, lambda: masks.families(frame, (semantics,))[semantics]
 
 
 # ---------------------------------------------------------------- text io
@@ -323,26 +321,22 @@ def _arg_id(token, n, lineno):
 
 
 def format_baf(frame: Baf, annotations=()):
-    out = [f"p baf {frame.n}"]
-    out.extend(f"# {note}" for note in annotations)
-    out.extend(f"att {s} {t}" for s, t in frame.att)
-    out.extend(f"sup {s} {t}" for s, t in frame.sup)
-    for i, nm in enumerate(frame.names):
-        if nm != str(i):
-            out.append(f"name {i} {nm}")
-    return "\n".join(out) + "\n"
+    return _format_graph(f"p baf {frame.n}", frame, annotations)
 
 
 def format_pbaf(pframe: Pbaf, annotations=()):
-    frame = pframe.baf
-    out = [f"p pbaf {frame.n} {pframe.premise_bound}"]
+    prem = ["prem %d %s" % (i, " ".join(str(p) for p in sorted(ps)))
+            for i, ps in enumerate(pframe.premises) if ps]
+    return _format_graph(f"p pbaf {pframe.baf.n} {pframe.premise_bound}",
+                         pframe.baf, annotations, prem)
+
+
+def _format_graph(header, frame, annotations, prem=()):
+    out = [header]
     out.extend(f"# {note}" for note in annotations)
     out.extend(f"att {s} {t}" for s, t in frame.att)
     out.extend(f"sup {s} {t}" for s, t in frame.sup)
-    for i, ps in enumerate(pframe.premises):
-        if ps:
-            out.append("prem %d %s" % (i, " ".join(str(p) for p in sorted(ps))))
-    for i, nm in enumerate(frame.names):
-        if nm != str(i):
-            out.append(f"name {i} {nm}")
+    out.extend(prem)
+    out.extend(f"name {i} {nm}" for i, nm in enumerate(frame.names)
+               if nm != str(i))
     return "\n".join(out) + "\n"

@@ -68,7 +68,7 @@ def _decider(kind, frame, sigma, classic):
     if kind == "aba":
         labels = frame.assumptions
         order = sorted(range(len(labels)), key=labels.__getitem__)
-        return (frame.resolve, lambda: masks._extension_masks(frame, sigma),
+        return (frame.resolve, lambda: masks.families(frame, (sigma,))[sigma],
                 labels, order)
     base, source = baf._source(frame, sigma, classic=classic)
     return base.resolve, source, base.names, None

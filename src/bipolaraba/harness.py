@@ -15,19 +15,18 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations, compress, product
 
 import numpy as np
 
-from .aba import (AbaFramework, aba_defends, aba_extensions,
-                  attacker_closures, enumerate_arguments)
+from .aba import (AbaFramework, aba_defends, attacker_closures,
+                  enumerate_arguments)
 from .baf import (Baf, Pbaf, baf_closure, baf_defends, baf_extensions,
                   pbaf_extensions)
 from .errors import CapExceeded, TooLarge
 from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
                           is_assumption_exhaustive)
-from .masks import ENUM_LIMIT, _defended
+from .masks import ENUM_LIMIT, _defended, families, mask_sets
 from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_sat_baf, construct_skept_baf,
                          construct_skept_pbaf)
@@ -174,6 +173,11 @@ def _fmt_asm(s):
     return "{" + ",".join(sorted(s)) + "}"
 
 
+def _family_sets(frame, names, labels):
+    """Each named extension family of the frame as frozensets of labels."""
+    return {s: mask_sets(m, labels) for s, m in families(frame, names).items()}
+
+
 def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
                          targets=("baf", "pbaf"), semantics=None) -> CheckReport:
     """Extensions of the framework against extensions of its argument graph.
@@ -196,51 +200,45 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
                  f"{len(args)} arguments, limit {ENUM_LIMIT}")
         return rep
     inst = instantiate_pbaf(frame, cap)
-    aba_eng = frame.engine()
-    d_family = {s: aba_extensions(frame, s, engine=aba_eng)
-                for s in ("ad", "co", "gr", "pr", "stb")}
-    del aba_eng
+    names = tuple(s for s in ("ad", "co", "gr", "pr", "stb")
+                  if semantics in (None, s))
+    d_family = _family_sets(frame, ("co",) + names, frame.assumptions)
     co_d_empty = not d_family["co"]
 
-    def run_side(side, family, semantics_list, forward_list):
-        if semantics is not None:
-            semantics_list = tuple(s for s in semantics_list if s == semantics)
-        for sem in semantics_list:
+    def run_side(side, family, compared, forward_list):
+        for sem in compared:
             if sem == "gr" and co_d_empty:
                 agree = (d_family["gr"] == [frozenset()]
-                         and family("gr") == [frozenset()]
-                         and not family("co"))
+                         and family["gr"] == [frozenset()]
+                         and not family["co"])
                 rep.add(f"{side}-gr-convention", label, agree,
                         "" if agree else "empty-complete conventions disagree")
                 continue
             if sem in forward_list:
-                bad = [e for e in family(sem)
+                bad = [e for e in family[sem]
                        if assumptions_of(inst, e) not in d_family[sem]]
                 rep.add(f"{side}-{sem}-forward", label, not bad,
                         "" if not bad
                         else f"graph extension maps outside: "
                              f"{_fmt_asm(assumptions_of(inst, bad[0]))}")
             bad = [s for s in d_family[sem]
-                   if arguments_for(inst, s) not in family(sem)]
+                   if arguments_for(inst, s) not in family[sem]]
             rep.add(f"{side}-{sem}-backward", label, not bad,
                     "" if not bad else f"no graph extension for {_fmt_asm(bad[0])}")
 
     try:
-        # one engine serves both sides: the premise labels only add a filter
-        eng = inst.baf.engine()
-        baf_family = cache(lambda s: baf_extensions(inst.baf, s, engine=eng))
-        pbaf_family = cache(lambda s: pbaf_extensions(inst.pbaf, s, engine=eng))
         if "baf" in targets:
-            run_side("baf", baf_family, ("ad", "co", "gr", "stb"),
-                     ("co", "gr", "stb"))
+            compared = tuple(s for s in names if s != "pr")
+            family = _family_sets(inst.baf, ("co", "stb") + compared,
+                                  range(inst.baf.n))
+            run_side("baf", family, compared, ("co", "gr", "stb"))
             if semantics in (None, "co", "stb"):
-                exhaustive_bad = [
-                    e for sem in ("co", "stb") for e in baf_family(sem)
-                    if not is_assumption_exhaustive(inst, e)]
+                exhaustive_bad = [e for sem in ("co", "stb") for e in family[sem]
+                                  if not is_assumption_exhaustive(inst, e)]
                 rep.add("baf-co-stb-exhaustive", label, not exhaustive_bad)
         if "pbaf" in targets:
-            run_side("pbaf", pbaf_family, ("ad", "co", "gr", "pr", "stb"),
-                     ("ad", "co", "gr", "pr", "stb"))
+            family = _family_sets(inst.pbaf, ("co",) + names, range(inst.baf.n))
+            run_side("pbaf", family, names, names)
         th = frame._theories([a.support for a in inst.arguments])
         cl_bad = [str(a) for i, a in enumerate(inst.arguments)
                   if assumptions_of(inst, baf_closure(inst.baf, {i}))

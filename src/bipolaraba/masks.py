@@ -17,6 +17,8 @@ so the ABA builder puts every bit in the low factor, whose tables are
 projections of a theory table over all assumption masks, and leaves the
 high factor empty. `forward_chain`, the one forward-chaining routine,
 fills that table block by block and serves any list of assumption sets.
+`families`, the one route from a frame to extension masks, runs any
+names on one engine and one candidate join.
 """
 from __future__ import annotations
 
@@ -323,35 +325,41 @@ def aba_engine(k, n_atoms, rules, contrary):
 
 # ----------------------------------------------------------------- filters
 
-def _extension_masks(frame, semantics, engine=None):
-    """Extension masks of one semantics over a Baf, a Pbaf or an
-    AbaFramework. The engine is `engine`, `frame.engine()` built once for
-    several calls, or else built once the name is checked. A frame with
-    premises (a Pbaf) keeps only its exhaustive candidates before defense
-    is read."""
-    if semantics not in SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    eng = engine if engine is not None else frame.engine()
-    if semantics == "cf":
-        return eng.conflict_free_masks()
-    if semantics == "stb":
-        return eng.stable_masks()
-    cand = eng.candidate_masks()
-    g = eng.gamma(cand)
-    if hasattr(frame, "premise_masks"):
-        premise_masks = frame.premise_masks()
-        keep = eng.exhaustive_flags(cand, premise_masks,
-                                    eng.premise_tables(premise_masks))
-        cand, g = cand[keep], g[keep]
-    if semantics == "ad":
-        return cand[eng.admissible_flags(cand, g)]
-    if semantics == "co":
-        return cand[cand == g]
-    if semantics == "pr":
-        return maximal_masks(cand[eng.admissible_flags(cand, g)], eng.n)
-    co = cand[cand == g]
-    least = np.bitwise_and.reduce(co, initial=eng.full) if len(co) else 0
-    return np.array([least], dtype=np.uint32)
+def families(frame, names):
+    """The extension masks of each semantics in `names` over a Baf, a Pbaf
+    or an AbaFramework, by name. The names are checked before the engine
+    is built, once; the candidate join, `gamma` and a Pbaf's exhaustiveness
+    filter run at most once, and only what the names need comes after."""
+    for s in names:
+        if s not in SEMANTICS:
+            raise ValueError(f"unknown semantics {s!r}")
+    want = set(names)
+    eng = frame.engine()
+    out = {}
+    if want & {"ad", "co", "gr", "pr"}:
+        cand = eng.candidate_masks()
+        g = eng.gamma(cand)
+        if hasattr(frame, "premise_masks"):
+            premise_masks = frame.premise_masks()
+            keep = eng.exhaustive_flags(cand, premise_masks,
+                                        eng.premise_tables(premise_masks))
+            cand, g = cand[keep], g[keep]
+        if want & {"ad", "pr"}:
+            out["ad"] = cand[eng.admissible_flags(cand, g)]
+        if want & {"co", "gr"}:
+            out["co"] = cand[cand == g]
+        del cand, g  # whole-family arrays, freed before maximality and the joins
+    if "pr" in want:
+        out["pr"] = maximal_masks(out["ad"], eng.n)
+    if "gr" in want:
+        co = out["co"]
+        least = np.bitwise_and.reduce(co, initial=eng.full) if len(co) else 0
+        out["gr"] = np.array([least], dtype=np.uint32)
+    if "cf" in want:
+        out["cf"] = eng.conflict_free_masks()
+    if "stb" in want:
+        out["stb"] = eng.stable_masks()
+    return {s: out[s] for s in names}
 
 
 def closed_set_defends(eng, attacked, a):

@@ -89,10 +89,10 @@ def format_dimacs(cnf: Cnf):
     return "\n".join(out) + "\n"
 
 
-def brute_force_sat(cnf: Cnf, limit=SAT_LIMIT):
+def brute_force_sat(cnf: Cnf):
     """Try every assignment. The empty formula counts as satisfiable."""
-    if cnf.n_vars > limit:
-        raise TooLarge("variable count", cnf.n_vars, limit)
+    if cnf.n_vars > SAT_LIMIT:
+        raise TooLarge("variable count", cnf.n_vars, SAT_LIMIT)
     for bits in range(1 << cnf.n_vars):
         if all(any((lit > 0) == bool(bits >> (abs(lit) - 1) & 1) for lit in clause)
                for clause in cnf.clauses):

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from bipolaraba import (AbaFramework, Baf, GenParams, Pbaf, aba_closure,
                         aba_decide, aba_extensions, attack_range, baf_closure,
-                        baf_decide, baf_extensions, pbaf_extensions,
-                        random_aba, random_baf)
+                        baf_decide, baf_extensions, instantiate_pbaf,
+                        pbaf_extensions, random_aba, random_baf, random_pbaf)
 from bipolaraba import masks
 from bipolaraba.aba import attacker_closures
-from conftest import build_ex22, build_ex32
-from reference_impl import aba_att, aba_cl, aba_theory, family
+from conftest import build_ex22, build_ex32, build_ex44
+from reference_impl import (aba_att, aba_cl, aba_theory, family,
+                            naive_aba_extensions, naive_baf_extensions,
+                            naive_pbaf_extensions)
 
 
 def members(m, labels):
@@ -198,7 +200,98 @@ def test_unknown_semantics_is_refused_before_an_engine_is_built(monkeypatch):
              lambda: aba_extensions(aba, "nope"),
              lambda: baf_decide(baf, "cred", "nope", "x"),
              lambda: baf_decide(pbaf, "enumerate", "nope"),
-             lambda: aba_decide(aba, "cred", "nope", "a")]
+             lambda: aba_decide(aba, "cred", "nope", "a"),
+             lambda: masks.families(baf, ("co", "nope"))]
     for call in calls:
         with pytest.raises(ValueError, match="unknown semantics"):
             call()
+
+
+def pair_pbaf(pairs):
+    """Mutually attacking pairs, two supports across pairs, each argument
+    its own premise but the first arguments of the last two pairs, which
+    share one."""
+    n = 2 * pairs
+    att = [(i ^ d, i ^ 1 ^ d) for i in range(0, n, 2) for d in (0, 1)]
+    premises = [frozenset({i}) for i in range(n)]
+    premises[n - 2] = premises[n - 4]
+    return Pbaf(Baf(n, att, [(0, 2), (3, n - 2)]), premises, n)
+
+
+def frames_of_every_kind(seed):
+    """(frame, member labels, oracle) for a random BAF, pBAF and ABA
+    framework, and the premise graph of the ABA framework when it has at
+    most 10 arguments (about two seeds in five)."""
+    aba = random_aba(GenParams(n_atoms=6, n_assumptions=4, n_rules=7,
+                               seed=seed))
+    inst = instantiate_pbaf(aba)
+    baf, pbaf = random_baf(seed % 9, seed), random_pbaf(seed % 9, seed)
+    out = [(baf, range(baf.n), naive_baf_extensions),
+           (pbaf, range(pbaf.baf.n), naive_pbaf_extensions),
+           (aba, aba.assumptions, naive_aba_extensions)]
+    if inst.baf.n <= 10:
+        out.append((inst.pbaf, range(inst.baf.n), naive_pbaf_extensions))
+    return out
+
+
+def assert_families_match(frame, labels, oracle):
+    got = masks.families(frame, masks.SEMANTICS)
+    assert list(got) == list(masks.SEMANTICS)
+    for s in masks.SEMANTICS:
+        single = masks.families(frame, (s,))
+        assert list(single) == [s]
+        assert got[s].tolist() == single[s].tolist(), s
+        assert (family(masks.mask_sets(got[s], labels))
+                == family(oracle(frame, s))), s
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10 ** 6))
+def test_families_match_single_names_and_the_oracle(seed):
+    for frame, labels, oracle in frames_of_every_kind(seed):
+        assert_families_match(frame, labels, oracle)
+        if isinstance(frame, Pbaf):
+            got = masks.families(frame, ("cf", "stb"))
+            base = masks.families(frame.baf, ("stb", "cf"))
+            assert {s: m.tolist() for s, m in got.items()} == \
+                {s: m.tolist() for s, m in base.items()}
+
+
+def test_families_on_pairs_and_on_an_empty_complete_family():
+    pbaf = pair_pbaf(5)
+    assert_families_match(pbaf, range(10), naive_pbaf_extensions)
+    assert_families_match(pbaf.baf, range(10), naive_baf_extensions)
+    # one of each pair, less those holding 0 without 2 or 3 without 8
+    assert len(masks.families(pbaf.baf, ("pr",))["pr"]) == 32 - 8 - 8 + 4
+    aba = build_ex44()
+    for frame in (aba, instantiate_pbaf(aba).pbaf):
+        got = masks.families(frame, ("gr", "co"))
+        assert list(got) == ["gr", "co"]
+        assert len(got["co"]) == 0 and got["gr"].tolist() == [0]
+        assert masks.families(frame, ("gr",))["gr"].tolist() == [0]
+
+
+def test_a_single_name_computes_only_what_it_needs(monkeypatch):
+    aba = build_ex22()
+    frames = (build_ex32(), pair_pbaf(3), aba, instantiate_pbaf(aba).pbaf)
+    want = {(id(f), s): masks.families(f, (s,))[s].tolist()
+            for f in frames for s in masks.SEMANTICS}
+
+    def refuse(*args):
+        raise AssertionError("not needed")
+
+    def check(names):
+        for frame in frames:
+            for s in names:
+                got = masks.families(frame, (s,))
+                assert got[s].tolist() == want[id(frame), s]
+
+    with monkeypatch.context() as m:
+        m.setattr(masks, "maximal_masks", refuse)
+        check(("cf", "ad", "co", "gr", "stb"))
+        with pytest.raises(AssertionError, match="not needed"):
+            masks.families(frames[0], ("pr",))
+    monkeypatch.setattr(masks.SubsetEngine, "candidate_masks", refuse)
+    check(("cf", "stb"))
+    with pytest.raises(AssertionError, match="not needed"):
+        masks.families(frames[0], ("ad",))

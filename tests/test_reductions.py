@@ -82,7 +82,7 @@ def test_brute_force_sat():
     assert brute_force_sat(Cnf(0, [])) is True
     assert brute_force_sat(Cnf(3, [])) is True
     with pytest.raises(TooLarge):
-        brute_force_sat(Cnf(25, []), limit=20)
+        brute_force_sat(Cnf(25, []))
 
 
 # ------------------------------------------- construction 1: co iff SAT
