@@ -26,16 +26,12 @@ from .baf import (Baf, Pbaf, baf_closure, baf_defends, baf_extensions,
 from .errors import CapExceeded, TooLarge
 from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
                           is_assumption_exhaustive)
-from .masks import ENUM_LIMIT, _defended, families, mask_sets
+from .masks import ENUM_LIMIT, _defended, closed_set_gamma, families, mask_sets
 from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_sat_baf, construct_skept_baf,
                          construct_skept_pbaf)
 
 CHECK_ARGUMENT_CAP = 2000
-# elements (BAF arguments or ABA assumptions) of a defense-equivalence
-# check: closed-set defense (`_not_defended`) loops in Python over the
-# closed sets, up to 2^n of them, each a pass over all 2^n sets
-DEFENSE_LIMIT = 8
 
 
 # -------------------------------------------------------------- generators
@@ -261,10 +257,10 @@ def check_defense_equivalence(frame, label="",
     rep = CheckReport()
     is_aba = isinstance(frame, AbaFramework)
     n = len(frame.assumptions) if is_aba else frame.n
-    if n > DEFENSE_LIMIT:
+    if n > ENUM_LIMIT:
         rep.skip("defense-equivalence", label,
                  f"{n} {'assumptions' if is_aba else 'arguments'}, "
-                 f"limit {DEFENSE_LIMIT}")
+                 f"limit {ENUM_LIMIT}")
         return rep
     if is_aba:
         try:
@@ -272,7 +268,6 @@ def check_defense_equivalence(frame, label="",
         except CapExceeded:
             rep.skip("defense-equivalence", label, f"argument cap {cap} exceeded")
             return rep
-        eng = frame.engine()
 
         def mismatch(m, i):
             s = [a for j, a in enumerate(frame.assumptions) if m >> j & 1]
@@ -282,37 +277,24 @@ def check_defense_equivalence(frame, label="",
             return (f"S={_fmt_asm(s)} a={a} closed-sets={left} "
                     f"attacker-closure={right}")
     else:
-        eng = frame.engine()
-        closures = eng.closures
-
         def mismatch(m, a):
             ext = [i for i in range(frame.n) if m >> i & 1]
             return (f"E={ext} a={a} "
                     f"attacker-closure={baf_defends(frame, ext, a)} "
                     f"closed-sets={baf_defends(frame, ext, a, mode='closed-sets')}")
-    every = np.arange(1 << eng.n, dtype=np.uint32)
-    rng = eng.range_of(every)
-    via_attcl = _defended(rng, closures)
-    via_closed = eng.full & ~_not_defended(rng, eng.closed_masks())
+    eng = frame.engine()
+    rng = eng.range_of(np.arange(1 << eng.n, dtype=np.uint32))
+    via_attcl = _defended(rng, closures if is_aba else eng.closures)
+    via_closed = closed_set_gamma(eng, rng)
     bad = np.flatnonzero(via_attcl != via_closed)
     if len(bad) == 0:
-        rep.add("defense-equivalence", label, True, f"{len(every) * eng.n} pairs")
+        rep.add("defense-equivalence", label, True, f"{len(rng) * eng.n} pairs")
         return rep
     m = int(bad[0])
     diff = int(via_attcl[m] ^ via_closed[m])
     rep.add("defense-equivalence", label, False,
             mismatch(m, (diff & -diff).bit_length() - 1))
     return rep
-
-
-def _not_defended(rng, closed_masks):
-    """For every set, by the definition: the elements attacked by some
-    closed set that the set itself does not attack."""
-    out = np.zeros(len(rng), dtype=np.uint32)
-    for t in closed_masks:
-        if rng[t]:
-            out[(rng & np.uint32(t)) == 0] |= rng[t]
-    return out
 
 
 # ------------------------------------------------------------ constructions

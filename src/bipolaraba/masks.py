@@ -18,7 +18,8 @@ projections of a theory table over all assumption masks, and leaves the
 high factor empty. `forward_chain`, the one forward-chaining routine,
 fills that table block by block and serves any list of assumption sets.
 `families`, the one route from a frame to extension masks, runs any
-names on one engine and one candidate join.
+names on one engine and one candidate join. One subset-OR transform,
+`_subset_or`, serves closed-set defense of all sets and maximality.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ PREMISE_LIMIT = 63
 SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
 DEFENSE_MODES = ("closed-sets", "attacker-closure")
 TASKS = ("enumerate", "cred", "skept", "ver")
-# largest mask-pair matrix maximal_masks builds instead of its 2^n tables
+# largest mask-pair matrix maximal_masks builds instead of its 2^n table
 PAIRWISE_LIMIT = 1 << 20
 # bytes of theory table per forward-chaining block of assumption masks:
 # bounds its memory whatever the number of assumptions and atoms
@@ -85,6 +86,14 @@ def _bit_views(table, i):
     """Views of the masks without bit i and of the same masks with it."""
     v = table.reshape(-1, 2, 1 << i)
     return v[:, 0], v[:, 1]
+
+
+def _subset_or(t):
+    """In place, in n passes: t[m] becomes the OR of t[s] over s within m."""
+    for i in range(len(t).bit_length() - 1):
+        without, with_i = _bit_views(t, i)
+        with_i |= without
+    return t
 
 
 class SubsetEngine:
@@ -370,29 +379,38 @@ def closed_set_defends(eng, attacked, a):
     return bool(np.all(attackers & np.uint32(attacked)))
 
 
+def closed_set_gamma(eng, rng):
+    """`closed_set_defends` of all sets S at once, from their ranges rng: S
+    leaves undefended what the closed sets within full ^ rng[S] attack, the
+    OR F[full ^ rng[S]] after one `_subset_or` of F[T] = rng[T], T closed."""
+    closed = eng.closed_masks()
+    f = np.zeros(1 << eng.n, dtype=np.uint32)
+    f[closed] = rng[closed]
+    del closed
+    return _subset_or(f)[eng.full ^ rng] ^ eng.full
+
+
 def maximal_masks(masks, n):
     """Drop every mask that has a strict superset in the list; masks are
     over n bits and keep their order.
 
-    A short list is compared pairwise. Otherwise n passes over a 2^n table
-    mark every subset of a listed mask and n more find the masks with a
-    marked strict superset, O(n 2^n) whatever the list's length.
+    A short list is compared pairwise. Otherwise one `_subset_or` over the
+    masks' complements tells whether a listed mask holds m plus a bit it
+    lacks, O(n 2^n) whatever the list's length.
     """
     masks = np.asarray(masks, dtype=np.uint32)
     if len(masks) ** 2 <= min(n << n, PAIRWISE_LIMIT):
         superset = (masks[:, None] & ~masks[None, :]) == 0
         strict = superset & (masks[:, None] != masks[None, :])
         return masks[~strict.any(axis=1)]
-    below = np.zeros(1 << n, dtype=bool)
-    below[masks] = True
-    for i in range(n):
-        without, with_i = _bit_views(below, i)
-        without |= with_i
-    strictly_below = np.zeros(1 << n, dtype=bool)
-    for i in range(n):
-        without = _bit_views(strictly_below, i)[0]
-        without |= _bit_views(below, i)[1]
-    return masks[~strictly_below[masks]]
+    lacks = np.uint32((1 << n) - 1) ^ masks
+    table = np.zeros(1 << n, dtype=bool)
+    table[lacks] = True
+    _subset_or(table)
+    strict = np.zeros(len(masks), dtype=bool)
+    for bit in np.uint32(1) << np.arange(n, dtype=np.uint32):
+        strict |= ((lacks & bit) != 0) & table[lacks & ~bit]
+    return masks[~strict]
 
 
 # entry b: the byte b with its bits in reverse order, and its bit count

@@ -107,13 +107,15 @@ def test_preferred_on_mutually_attacking_pairs():
 
 
 def test_maximal_masks_matches_pairwise_definition():
-    # short lists take the pairwise route, long ones the 2^n tables
+    # short lists take the pairwise route, long ones the 2^n table
     rng = random.Random(0)
-    for n, k in ((0, 1), (4, 3), (16, 300), (6, 40), (8, 200), (12, 1500)):
-        masks = np.array([rng.getrandbits(n) for _ in range(k)], dtype=np.uint32)
+    for n, k in ((0, 1), (4, 3), (16, 300), (6, 40), (8, 200), (12, 1500),
+                 (20, 2000)):
+        masks = [rng.getrandbits(n) for _ in range(k)]
         want = [m for m in masks
                 if not any(m != o and m & ~o == 0 for o in masks)]
-        assert maximal_masks(masks, n).tolist() == [int(m) for m in want]
+        got = maximal_masks(np.array(masks, dtype=np.uint32), n)
+        assert got.tolist() == want
 
 
 def test_decide(ex32, ex38):

@@ -219,15 +219,15 @@ def test_defense_equivalence_aba():
 
 
 def test_defense_equivalence_reports_first_mismatch(monkeypatch):
-    real = harness._not_defended
+    real = harness.closed_set_gamma
 
-    def flipped(rng, closed_masks):
-        out = real(rng, closed_masks).copy()
+    def flipped(eng, rng):
+        out = real(eng, rng).copy()
         out[6] ^= 1 << 1
         out[3] ^= 1 << 2  # the first: set {0,1} on element 2
         return out
 
-    monkeypatch.setattr(harness, "_not_defended", flipped)
+    monkeypatch.setattr(harness, "closed_set_gamma", flipped)
     frame = build_ex32()
     rep = check_defense_equivalence(frame, label="ex32")
     via_attcl = baf_defends(frame, [0, 1], 2)
@@ -247,9 +247,9 @@ def test_defense_equivalence_reports_first_mismatch(monkeypatch):
 def test_defense_equivalence_skips():
     rep = check_defense_equivalence(random_baf(27, 0), label="big")
     assert rep.skipped and rep.cases_run == 0
-    wide = random_aba(GenParams(n_atoms=10, n_assumptions=9, seed=0))
+    wide = random_aba(GenParams(n_atoms=30, n_assumptions=26, seed=0))
     rep = check_defense_equivalence(wide, label="wide")
-    assert rep.skipped and "9 assumptions" in rep.skipped[0].detail
+    assert rep.skipped and "26 assumptions" in rep.skipped[0].detail
 
 
 def test_defense_equivalence_size_guard_comes_before_any_work(monkeypatch):
@@ -258,18 +258,40 @@ def test_defense_equivalence_size_guard_comes_before_any_work(monkeypatch):
 
     monkeypatch.setattr(masks, "baf_engine", no_work)
     monkeypatch.setattr(harness, "attacker_closures", no_work)
-    # an attack ring: every set is closed, so unguarded the closed-set
-    # side makes 2^16 passes over 2^16 sets
+    ring = Baf(25, [(i, (i + 1) % 25) for i in range(25)], [])
+    rep = check_defense_equivalence(ring, label="ring")
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", "25 arguments, limit 24")]
+    wide = random_aba(GenParams(n_atoms=30, n_assumptions=25, seed=0))
+    rep = check_defense_equivalence(wide, label="wide")
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", "25 assumptions, limit 24")]
+
+
+def test_defense_equivalence_ring_of_16_is_quick():
+    # an attack ring: every set is closed, 2^16 of them, so closed-set
+    # defense by one pass per closed set would make 2^16 passes over 2^16
+    # sets
     ring = Baf(16, [(i, (i + 1) % 16) for i in range(16)], [])
     start = time.perf_counter()
     rep = check_defense_equivalence(ring, label="ring")
     assert time.perf_counter() - start < 0.5
     assert [(it.status, it.detail) for it in rep.items] == [
-        ("skip", "16 arguments, limit 8")]
-    wide = random_aba(GenParams(n_atoms=10, n_assumptions=9, seed=0))
-    rep = check_defense_equivalence(wide, label="wide")
-    assert [(it.status, it.detail) for it in rep.items] == [
-        ("skip", "9 assumptions, limit 8")]
+        ("ok", f"{16 << 16} pairs")]
+
+
+def test_defense_equivalence_beyond_eight_elements():
+    frames = [Baf(20, [(i, (i + 1) % 20) for i in range(20)], [])]
+    frames += [random_baf(20, seed) for seed in range(3)]
+    assert all(f.sup for f in frames[1:])  # not every set is closed
+    frames += [random_aba(GenParams(n_atoms=k + 4, n_assumptions=k,
+                                    n_rules=k, seed=seed))
+               for k, seed in ((12, 0), (14, 1), (16, 2))]
+    for frame in frames:
+        n = len(frame.assumptions) if isinstance(frame, AbaFramework) else frame.n
+        rep = check_defense_equivalence(frame)
+        assert [(it.status, it.detail) for it in rep.items] == [
+            ("ok", f"{n << n} pairs")]
 
 
 # ------------------------------------------------------------ constructions

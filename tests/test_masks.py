@@ -15,7 +15,7 @@ from bipolaraba import (AbaFramework, Baf, GenParams, Pbaf, aba_closure,
 from bipolaraba import masks
 from bipolaraba.aba import attacker_closures
 from conftest import build_ex22, build_ex32, build_ex44
-from reference_impl import (aba_att, aba_cl, aba_theory, family,
+from reference_impl import (aba_att, aba_cl, aba_defends, aba_theory, family,
                             naive_aba_extensions, naive_baf_extensions,
                             naive_pbaf_extensions)
 
@@ -89,6 +89,38 @@ def test_aba_join_matches_brute_force(k, n_rules, seed):
     eng = frame.engine()
     assert (eng.lo, len(eng.rng_hi)) == (k, 1)
     assert_engine_matches(eng, want)
+
+
+def gamma_of_every_set(frame):
+    """The engine, the range of every set and its closed-set defense by
+    the transform."""
+    eng = frame.engine()
+    rng = eng.range_of(np.arange(1 << eng.n, dtype=np.uint32))
+    return eng, rng, masks.closed_set_gamma(eng, rng).tolist()
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_closed_set_gamma_matches_the_single_set_definition(seed):
+    n = seed % 9
+    frame = random_baf(n, seed, p_att=(0.1, 0.25, 0.4)[seed % 3],
+                       p_sup=(0.3, 0.15, 0.05)[seed % 3])
+    eng, rng, got = gamma_of_every_set(frame)
+    for m in range(1 << n):
+        assert [got[m] >> a & 1 for a in range(n)] == [
+            masks.closed_set_defends(eng, int(rng[m]), a) for a in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(14))
+def test_closed_set_gamma_matches_the_reference_on_aba(seed):
+    k = seed % 7
+    frame = random_aba(GenParams(n_atoms=k + 3, n_assumptions=k,
+                                 n_rules=4 + seed % 5, seed=seed))
+    labels = frame.assumptions
+    _, _, got = gamma_of_every_set(frame)
+    for m in range(1 << k):
+        s = members(m, labels)
+        assert [got[m] >> i & 1 for i in range(k)] == [
+            aba_defends(frame, s, a) for a in labels]
 
 
 def assert_theories(frame, sets):
