@@ -16,7 +16,7 @@ import numpy as np
 from . import masks
 from .errors import CapExceeded, NotAnAssumption, ParseError
 from .masks import DEFENSE_MODES
-from .textio import directives, index, integer
+from .textio import directives, index, integer, put_once
 
 ARGUMENT_CAP = 5000
 
@@ -290,11 +290,9 @@ def parse_aba(text):
         elif parts[0] == "c":
             if len(parts) != 3:
                 raise ParseError("expected 'c <i> <j>'", lineno)
-            i = _atom(parts[1], n, lineno)
-            j = _atom(parts[2], n, lineno)
-            if i in contrary_ix:
-                raise ParseError(f"atom {i} already has a contrary", lineno)
-            contrary_ix[i] = j
+            put_once(contrary_ix, _atom(parts[1], n, lineno),
+                     _atom(parts[2], n, lineno), lineno,
+                     "atom {} already has a contrary")
         elif parts[0] == "r":
             if len(parts) < 2:
                 raise ParseError("expected 'r <head> <body...>'", lineno)
@@ -302,8 +300,8 @@ def parse_aba(text):
         elif parts[0] == "name":
             if len(parts) < 3:
                 raise ParseError("expected 'name <i> <label>'", lineno)
-            i = _atom(parts[1], n, lineno)
-            names[i] = line.split(None, 2)[2]
+            put_once(names, _atom(parts[1], n, lineno), line.split(None, 2)[2],
+                     lineno, "atom {} already has a name")
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     asm_set = set(asm)

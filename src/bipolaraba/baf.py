@@ -15,7 +15,7 @@ import numpy as np
 from . import masks
 from .errors import ParseError, SupportsPresent, TooLarge
 from .masks import DEFENSE_MODES, SEMANTICS
-from .textio import directives, index, nonneg
+from .textio import directives, index, nonneg, put_once
 
 AF_LIMIT = 16
 
@@ -84,15 +84,6 @@ class Pbaf:
     def engine(self):
         """The subset engine of the underlying BAF."""
         return self.baf.engine()
-
-    def premise_masks(self):
-        """Each argument's premise set as a bitmask over the premise ids
-        in use, in ascending order."""
-        ids = sorted({p for ps in self.premises for p in ps})
-        if len(ids) > masks.PREMISE_LIMIT:
-            raise TooLarge("premise universe", len(ids), masks.PREMISE_LIMIT)
-        pos = {p: k for k, p in enumerate(ids)}
-        return [sum(1 << pos[p] for p in ps) for ps in self.premises]
 
 
 # ------------------------------------------------------------- set algebra
@@ -297,7 +288,8 @@ def _parse_graph(text, kind, premises=False):
         elif parts[0] == "name":
             if len(parts) < 3:
                 raise ParseError("expected 'name <i> <s>'", lineno)
-            names[_arg_id(parts[1], n, lineno)] = line.split(None, 2)[2]
+            put_once(names, _arg_id(parts[1], n, lineno),
+                     line.split(None, 2)[2], lineno, "argument {} already has a name")
         elif parts[0] == "prem" and premises:
             if len(parts) < 2:
                 raise ParseError("expected 'prem <i> <p...>'", lineno)
@@ -307,7 +299,7 @@ def _parse_graph(text, kind, premises=False):
                 if v >= bound:
                     raise ParseError(f"premise id {v} not below bound {bound}",
                                      lineno)
-            prem[i] = vals
+            put_once(prem, i, vals, lineno, "argument {} already has premises")
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     labels = [names.get(i, str(i)) for i in range(n)]

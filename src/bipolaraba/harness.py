@@ -26,7 +26,7 @@ from .baf import (Baf, Pbaf, baf_closure, baf_defends, baf_extensions,
 from .errors import CapExceeded, TooLarge
 from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
                           is_assumption_exhaustive)
-from .masks import ENUM_LIMIT, _defended, closed_set_gamma, families, mask_sets
+from .masks import ENUM_LIMIT, _unmet, closed_set_gamma, families, mask_sets
 from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_sat_baf, construct_skept_baf,
                          construct_skept_pbaf)
@@ -284,7 +284,7 @@ def check_defense_equivalence(frame, label="",
                     f"closed-sets={baf_defends(frame, ext, a, mode='closed-sets')}")
     eng = frame.engine()
     rng = eng.range_of(np.arange(1 << eng.n, dtype=np.uint32))
-    via_attcl = _defended(rng, closures if is_aba else eng.closures)
+    via_attcl = eng.full ^ _unmet(rng, closures if is_aba else eng.closures)
     via_closed = closed_set_gamma(eng, rng)
     bad = np.flatnonzero(via_attcl != via_closed)
     if len(bad) == 0:

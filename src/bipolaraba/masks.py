@@ -18,8 +18,9 @@ projections of a theory table over all assumption masks, and leaves the
 high factor empty. `forward_chain`, the one forward-chaining routine,
 fills that table block by block and serves any list of assumption sets.
 `families`, the one route from a frame to extension masks, runs any
-names on one engine and one candidate join. One subset-OR transform,
-`_subset_or`, serves closed-set defense of all sets and maximality.
+names on one engine and one candidate join. `_subset_or`, one subset-OR
+transform, serves closed-set defense and maximality; `_unmet`, one
+unmet-mask test, serves attacker-closure defense and pBAF exhaustiveness.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ import numpy as np
 from .errors import TooLarge
 
 ENUM_LIMIT = 24
-PREMISE_LIMIT = 63
 SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
 DEFENSE_MODES = ("closed-sets", "attacker-closure")
 TASKS = ("enumerate", "cred", "skept", "ver")
@@ -53,9 +53,9 @@ def or_table(n, rows, dtype=np.uint32):
     return out
 
 
-def _factor_tables(n, lo, rows, dtype=np.uint32):
+def _factor_tables(n, lo, rows):
     """or_table of the rows of bits 0..lo-1 and of bits lo..n-1."""
-    return or_table(lo, rows[:lo], dtype), or_table(n - lo, rows[lo:], dtype)
+    return or_table(lo, rows[:lo]), or_table(n - lo, rows[lo:])
 
 
 def single_closures(n, sup_pairs):
@@ -104,7 +104,8 @@ class SubsetEngine:
     n-bit masks, and cl likewise for the closure; lo is the log2 of the
     low tables' length. A set's range and closure are the OR of its
     halves' entries. closures[a]: a set defends a iff its range meets
-    every mask in closures[a].
+    every mask in closures[a]. One unmet-mask test, `_unmet`, serves this
+    defense and pBAF exhaustiveness.
     """
 
     def __init__(self, n, rng, cl, closures):
@@ -165,7 +166,7 @@ class SubsetEngine:
 
     def gamma(self, masks):
         """Defended-element mask for each set, closure-aware."""
-        return _defended(self.range_of(masks), self.closures)
+        return self.full ^ _unmet(self.range_of(masks), self.closures)
 
     def admissible_flags(self, cand, g):
         return (cand & ~g) == 0
@@ -174,32 +175,37 @@ class SubsetEngine:
         cand = self._join(conflict_free=True, closed=True)
         return cand[self.range_of(cand) == (self.full ^ cand)]
 
-    def premise_tables(self, premise_masks):
-        """Premise union of every low half and every high half."""
-        return _factor_tables(self.n, self.lo, premise_masks, np.uint64)
+    def premise_tables(self, premises):
+        """For each argument, the masks of the arguments holding each of its
+        premises: a set covers its premises iff it meets every one."""
+        holders = {}
+        for a, ps in enumerate(premises):
+            for p in ps:
+                holders[p] = holders.get(p, 0) | 1 << a
+        return [[holders[p] for p in ps] for ps in premises]
 
-    def exhaustive_flags(self, cand, premise_masks, premise_union):
-        """Sets already containing every argument their premises afford."""
-        lo, hi = self._halves(cand)
-        pu = premise_union[0][lo] | premise_union[1][hi]
-        ok = np.ones(len(cand), dtype=bool)
-        for a in range(self.n):
-            pa = np.uint64(premise_masks[a])
-            covered = (pa & ~pu) == np.uint64(0)
-            present = (cand >> np.uint32(a)) & np.uint32(1) == 1
-            ok &= present | ~covered
-        return ok
+    def exhaustive_flags(self, cand, needs):
+        """Sets already containing every argument their premises cover,
+        `needs` being the `premise_tables`."""
+        return (_unmet(cand, needs) | cand) == self.full
 
 
-def _defended(rng, closures):
-    """For each range mask, the elements a it defends: those whose every
-    mask in closures[a] it meets."""
-    out = np.zeros(len(rng), dtype=np.uint32)
-    for a, need in enumerate(closures):
-        ok = np.ones(len(rng), dtype=bool)
+def _unmet(masks, needs):
+    """For each mask, the elements a with some mask in needs[a] it does not
+    meet. Each distinct needed mask is tested once, and the bits of every
+    element needing it are OR-ed in with one write."""
+    bits = {}
+    for a, need in enumerate(needs):
         for c in need:
-            ok &= (rng & np.uint32(c)) != 0
-        out |= ok.astype(np.uint32) << np.uint32(a)
+            bits[c] = bits.get(c, 0) | 1 << a
+    out = np.zeros(len(masks), dtype=np.uint32)
+    buf = np.empty_like(out)
+    miss = np.empty(len(masks), dtype=bool)
+    for c, b in bits.items():
+        np.equal(np.bitwise_and(masks, np.uint32(c), out=buf), 0, out=miss)
+        # as in theory_tables: the 0/1 bytes times the bits
+        np.multiply(miss.view(np.uint8), np.uint32(b), out=buf)
+        out |= buf
     return out
 
 
@@ -227,13 +233,12 @@ def baf_engine(n, att_pairs, sup_pairs):
     """Engine over the arguments of a BAF: defending a means attacking the
     support closure of every attacker of a."""
     _check_size("argument count", n)
+    cl1 = single_closures(n, sup_pairs)
     att_rows = [0] * n
-    attackers = [set() for _ in range(n)]
+    closures = [[] for _ in range(n)]
     for s, t in att_pairs:
         att_rows[s] |= 1 << t
-        attackers[t].add(s)
-    cl1 = single_closures(n, sup_pairs)
-    closures = [sorted({cl1[b] for b in attackers[a]}) for a in range(n)]
+        closures[t].append(cl1[s])
     lo = n // 2
     return SubsetEngine(n, _factor_tables(n, lo, att_rows),
                         _factor_tables(n, lo, cl1), closures)
@@ -348,10 +353,8 @@ def families(frame, names):
     if want & {"ad", "co", "gr", "pr"}:
         cand = eng.candidate_masks()
         g = eng.gamma(cand)
-        if hasattr(frame, "premise_masks"):
-            premise_masks = frame.premise_masks()
-            keep = eng.exhaustive_flags(cand, premise_masks,
-                                        eng.premise_tables(premise_masks))
+        if hasattr(frame, "premises"):
+            keep = eng.exhaustive_flags(cand, eng.premise_tables(frame.premises))
             cand, g = cand[keep], g[keep]
         if want & {"ad", "pr"}:
             out["ad"] = cand[eng.admissible_flags(cand, g)]

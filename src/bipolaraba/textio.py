@@ -43,3 +43,10 @@ def index(v, first, last, what, lineno):
     if not first <= v <= last:
         raise ParseError(f"{what} id {v} out of range {first}..{last}", lineno)
     return v
+
+
+def put_once(table, key, value, lineno, what):
+    """table[key] = value once; `what` is like "atom {} already has a name"."""
+    if key in table:
+        raise ParseError(what.format(key), lineno)
+    table[key] = value

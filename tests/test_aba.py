@@ -65,6 +65,7 @@ def test_format_is_a_fixpoint(ex22):
     ("p aba 2\na 1\n", "no contrary"),
     ("p aba 2\nc 1 2\n", "not an assumption"),
     ("p aba 2\nname 1 x\nname 2 x\n", "duplicate atom names"),
+    ("p aba 2\nname 1 x\nname 1 y\n", "atom 1 already has a name"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:

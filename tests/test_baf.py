@@ -258,6 +258,7 @@ def test_parse_baf_errors():
             ("p baf 2\nfoo 1\n", "unknown directive"),
             ("p baf -1\n", "non-negative"),
             ("p pbaf 2 4\n", "expected 'p baf"),
+            ("p baf 2\nname 0 x\nname 0 y\n", "argument 0 already has a name"),
     ]:
         with pytest.raises(ParseError) as err:
             parse_baf(text)
@@ -270,6 +271,10 @@ def test_parse_pbaf_errors():
     assert "premise bound" in str(err.value)
     with pytest.raises(ParseError):
         parse_pbaf("p pbaf 2 3\nprem 0 5\n")
+    with pytest.raises(ParseError) as err:
+        parse_pbaf("p pbaf 2 3\nprem 0 1\nprem 0 2\n")
+    assert "argument 0 already has premises" in str(err.value)
+    assert err.value.line == 3
 
 
 def test_annotation_lines_are_ignored():

@@ -136,6 +136,17 @@ def test_solve_classic(capsys, tmp_path):
     assert "count: 2\n" in out
 
 
+def test_solve_pbaf_with_80_premise_ids(capsys, tmp_path):
+    # 8 arguments, each with 10 private premise ids: no premise-id limit
+    path = tmp_path / "wide.pbaf"
+    path.write_text("p pbaf 8 80\natt 0 1\natt 1 0\n" + "".join(
+        "prem %d %s\n" % (i, " ".join(str(10 * i + k) for k in range(10)))
+        for i in range(8)))
+    code, out, err = run(capsys, "solve", str(path), "--sigma", "pr")
+    assert (code, err) == (0, "")
+    assert out == "[0,2,3,4,5,6,7]\n[1,2,3,4,5,6,7]\ncount: 2\n"
+
+
 def test_classic_size_guard(capsys, tmp_path):
     path = tmp_path / "ring.baf"
     path.write_text("p baf 17\n" + "".join(f"att {i} {(i + 1) % 17}\n"

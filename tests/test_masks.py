@@ -91,6 +91,20 @@ def test_aba_join_matches_brute_force(k, n_rules, seed):
     assert_engine_matches(eng, want)
 
 
+@pytest.mark.parametrize("seed", range(15))
+def test_unmet_matches_the_definition(seed):
+    rnd = random.Random(seed)
+    n = (0, 1, 3, 8, 24)[seed % 5]
+    # a few masks shared across elements, the zero mask (a contrary
+    # derived from facts) among them, and empty lists
+    pool = [0] + [rnd.randrange(1, 1 << n) for _ in range(5) if n]
+    needs = [rnd.choices(pool, k=rnd.randint(0, 3)) for _ in range(n)]
+    sets = [0, (1 << n) - 1] + [rnd.randrange(1 << n) for _ in range(200)]
+    got = masks._unmet(np.array(sets, dtype=np.uint32), needs).tolist()
+    assert got == [sum(1 << a for a in range(n)
+                       if not all(m & c for c in needs[a])) for m in sets]
+
+
 def gamma_of_every_set(frame):
     """The engine, the range of every set and its closed-set defense by
     the transform."""
@@ -250,16 +264,30 @@ def pair_pbaf(pairs):
     return Pbaf(Baf(n, att, [(0, 2), (3, n - 2)]), premises, n)
 
 
+def wide_pbaf(seed):
+    """A random pBAF of up to 9 arguments with premise ids drawn from 300,
+    its last argument (of three or more) holding the premises of the first
+    two, so that other arguments cover them."""
+    pbaf = random_pbaf(seed % 10, seed, premise_bound=300)
+    premises = list(pbaf.premises)
+    if len(premises) > 2:
+        premises[-1] = premises[0] | premises[1]
+    return Pbaf(pbaf.baf, premises, 300)
+
+
 def frames_of_every_kind(seed):
     """(frame, member labels, oracle) for a random BAF, pBAF and ABA
-    framework, and the premise graph of the ABA framework when it has at
-    most 10 arguments (about two seeds in five)."""
+    framework, a pBAF with premise ids up to 300 (`wide_pbaf`), and the
+    premise graph of the ABA framework when it has at most 10 arguments
+    (about two seeds in five)."""
     aba = random_aba(GenParams(n_atoms=6, n_assumptions=4, n_rules=7,
                                seed=seed))
     inst = instantiate_pbaf(aba)
     baf, pbaf = random_baf(seed % 9, seed), random_pbaf(seed % 9, seed)
+    wide = wide_pbaf(seed)
     out = [(baf, range(baf.n), naive_baf_extensions),
            (pbaf, range(pbaf.baf.n), naive_pbaf_extensions),
+           (wide, range(wide.baf.n), naive_pbaf_extensions),
            (aba, aba.assumptions, naive_aba_extensions)]
     if inst.baf.n <= 10:
         out.append((inst.pbaf, range(inst.baf.n), naive_pbaf_extensions))
