@@ -21,7 +21,7 @@ from .aba import ARGUMENT_CAP, parse_aba
 from .baf import Pbaf, format_baf, format_pbaf, parse_baf, parse_pbaf
 from .errors import (CapExceeded, ParseError, SolverError, TooLarge)
 from .instantiate import describe_arguments, instantiate_baf, instantiate_pbaf
-from .masks import SEMANTICS, TASKS, decide, mask_members
+from .masks import SEMANTICS, TASKS, decide, mask_text
 from .reductions import (construct_gr_baf, construct_sat_baf,
                          construct_skept_baf, construct_skept_pbaf,
                          parse_dimacs)
@@ -97,20 +97,23 @@ def run_solve(args):
     if task == "ver":
         query = [q for q in query.split(",") if q]
     result = decide(task, query, bit, extension_masks)
-    rendered = (mask_members(result, labels, order)
-                if task == "enumerate" else None)
     if args.format == "json":
-        print(json.dumps({
-            "semantics": args.sigma,
-            "task": task,
-            "query": args.query,
-            "extensions": rendered,
-            "answer": None if task == "enumerate" else result,
-        }, sort_keys=True))
+        # json.dumps(sort_keys=True) puts "answer" and "extensions" first;
+        # the family's text, with each label encoded once, goes in between
+        rest = json.dumps({"query": args.query, "semantics": args.sigma,
+                           "task": task}, sort_keys=True)
+        if task == "enumerate":
+            text = mask_text(result, list(map(json.dumps, labels)), ", ", ", ",
+                             order)
+            print('{"answer": null, "extensions": [', text, "], ", rest[1:],
+                  sep="")
+        else:
+            print(f'{{"answer": {json.dumps(result)}, "extensions": null, '
+                  f'{rest[1:]}')
     elif task == "enumerate":
-        for members in rendered:
-            print("[" + ",".join(members) + "]")
-        print(f"count: {len(rendered)}")
+        if len(result):
+            print(mask_text(result, labels, ",", "\n", order))
+        print(f"count: {len(result)}")
     else:
         print("YES" if result else "NO")
     return 0

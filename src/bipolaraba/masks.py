@@ -21,6 +21,10 @@ fills that table block by block and serves any list of assumption sets.
 names on one engine and one candidate join. `_subset_or`, one subset-OR
 transform, serves closed-set defense and maximality; `_unmet`, one
 unmet-mask test, serves attacker-closure defense and pBAF exhaustiveness.
+`mask_text`, the one rendering routine, writes a family's text and JSON
+from the member text of each distinct mask half, built once and gathered
+for all masks at once; `mask_members` joins the same halves' member
+tuples, one concatenation per mask.
 """
 from __future__ import annotations
 
@@ -435,7 +439,7 @@ def _dictionary_rank(masks, n):
     m = masks.astype(np.int64)
     r = np.zeros(len(m), dtype=np.int64)
     k = np.zeros(len(m), dtype=np.int64)
-    for shift in range(0, 32, 8):
+    for shift in range(0, n, 8):
         byte = (m >> shift) & 255
         r |= _REVERSED_BYTE[byte] << (24 - shift)
         k += _BYTE_BITS[byte]
@@ -443,26 +447,82 @@ def _dictionary_rank(masks, n):
     return np.where(m == 0, 0, (1 << n) + k - r - (r & -r))
 
 
+def _dictionary_order(masks, labels, order):
+    """The masks in the order `mask_members` lists them, and the labels in
+    bit order: `order` moves bit order[j] of each mask to bit j."""
+    masks = np.asarray(masks, dtype=np.uint32)
+    if order is not None:
+        rows = [0] * len(order)  # rows[i]: where bit i goes
+        for j, i in enumerate(order):
+            rows[i] = 1 << j
+        h = len(order) // 2
+        lo, hi = _factor_tables(len(order), h, rows)
+        masks = lo[masks & np.uint32((1 << h) - 1)] | hi[masks >> np.uint32(h)]
+        labels = [labels[i] for i in order]
+    rank = _dictionary_rank(masks, len(labels))
+    return masks[np.argsort(rank, kind="stable")], labels
+
+
+def _fragments(values, units, empty):
+    """(ids, table) with table[ids[i]] the concatenation of units[j] over
+    the bits j of values[i], in bit order, `empty` for no bit; value 0 has
+    id 0. Up to 6 bits the table holds every value, built by doubling;
+    wider values are made distinct and each is one concatenation of its
+    `_halves`, however many masks share it."""
+    if len(units) <= 6:
+        table = [empty]
+        for u in units:
+            table += [t + u for t in table]
+        return values, np.fromiter(table, dtype=object, count=len(table))
+    seen = np.zeros(1 << len(units), dtype=bool)
+    seen[values] = True
+    seen[0] = True
+    found = np.flatnonzero(seen)
+    index = np.empty(len(seen), dtype=np.intp)
+    index[found] = np.arange(len(found))
+    lo_ids, lo, hi_ids, hi = _halves(found, units, empty)
+    return index[values], lo[lo_ids] + hi[hi_ids]
+
+
+def _halves(values, units, empty):
+    """`_fragments` of the low half (the first len(units) // 2 bits) and
+    of the high half of every value: lo_ids, lo, hi_ids, hi."""
+    h = len(units) // 2
+    return (*_fragments(values & ((1 << h) - 1), units[:h], empty),
+            *_fragments(values >> h, units[h:], empty))
+
+
 def mask_members(masks, labels, order=None):
     """The member tuples of the masks, bit i standing for labels[i]. Each
     tuple lists its members in bit order and the tuples are in the
     lexicographic order of these lists, a prefix first. `order`, when
-    given, is the bit order to use: a list of all bit indices."""
-    masks = np.asarray(masks, dtype=np.uint32)
-    if order is not None:
-        moved = np.zeros_like(masks)
-        for j, i in enumerate(order):
-            moved |= ((masks >> np.uint32(i)) & np.uint32(1)) << np.uint32(j)
-        masks, labels = moved, [labels[i] for i in order]
-    masks = masks[np.argsort(_dictionary_rank(masks, len(labels)), kind="stable")]
-    members = [()] * len(masks)
-    for k in range(0, len(labels), 8):
-        table = [()]  # table[b]: the labels of the bits set in byte b
-        for x in labels[k:k + 8]:
-            table += [t + (x,) for t in table]
-        column = ((masks >> np.uint32(k)) & np.uint32(255)).tolist()
-        members = [t + table[b] for t, b in zip(members, column)]
-    return members
+    given, is the bit order to use: a list of all bit indices. Each tuple
+    is one concatenation of its halves' member tuples."""
+    masks, labels = _dictionary_order(masks, labels, order)
+    lo_ids, lo, hi_ids, hi = _halves(masks, [(x,) for x in labels], ())
+    return (lo[lo_ids] + hi[hi_ids]).tolist()
+
+
+def mask_text(masks, labels, sep, between, order=None):
+    """between.join("[" + sep.join(m) + "]" for m in mask_members(masks,
+    labels, order)), for string labels, made without a string per mask:
+    the text of each distinct half is built once, and the halves of all
+    masks are gathered into one array of fragments and joined once."""
+    masks, labels = _dictionary_order(masks, labels, order)
+    lo_ids, lo, hi_ids, hi = _halves(masks, [sep + x for x in labels], "")
+    # every fragment starts with sep: the low half drops it after "[", and
+    # so does the high half after an empty low half (id 0), which takes
+    # the second copy of the high table
+    cut, k = len(sep), len(hi)
+    lo = [between + "[" + f[cut:] for f in lo.tolist()]
+    hi = [f + "]" for f in hi.tolist()] + [f[cut:] + "]" for f in hi.tolist()]
+    parts = np.empty(2 * len(masks), dtype=object)
+    parts[0::2] = np.fromiter(lo, dtype=object, count=len(lo))[lo_ids]
+    parts[1::2] = np.fromiter(hi, dtype=object, count=2 * k)[
+        hi_ids + k * (lo_ids == 0)]
+    if len(parts):
+        parts[0] = parts[0][len(between):]
+    return "".join(parts.tolist())
 
 
 def mask_sets(masks, labels):

@@ -387,23 +387,25 @@ def solve_transcript(capsys, path):
     return "".join(out)
 
 
-@pytest.mark.parametrize("name", ["golden.pbaf", "golden.aba"])
+@pytest.mark.parametrize("name", ["golden.pbaf", "golden.aba",
+                                  "golden_names.pbaf"])
 def test_solve_output_is_pinned(capsys, name):
     # pBAF members print in id order, whatever their names; ABA members
-    # print in name order, so a10 comes before a2
-    want = (DATA / f"{name}.out").read_text()
+    # print in name order, so a10 comes before a2; golden_names.pbaf has
+    # names that JSON escapes or that look like list syntax, an empty
+    # family (stb) and the family of the empty set alone (gr)
+    want = (DATA / f"{name}.out").read_text(encoding="utf-8")
     assert solve_transcript(capsys, DATA / name) == want
 
 
 # ------------------------------------------------------------- memory bound
 
-def test_decisions_on_two_to_the_22_extensions_fit_in_memory(tmp_path):
-    # an attack-free frame of 22 arguments has 2^22 admissible sets: a
-    # decision tests their masks and builds no set per extension
+def solve_capped(tmp_path, n, limit, *args):
+    """`solve` on an attack-free frame of n arguments in a fresh process
+    with `limit` bytes of address space."""
     resource = pytest.importorskip("resource")
     path = tmp_path / "free.baf"
-    path.write_text("p baf 22\n")
-    limit = 3 << 29  # 1.5 GB of address space
+    path.write_text(f"p baf {n}\n")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -411,10 +413,37 @@ def test_decisions_on_two_to_the_22_extensions_fit_in_memory(tmp_path):
     paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "bipolaraba.cli", "solve", str(path), *args],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory,
+        timeout=300)
+
+
+def test_decisions_on_two_to_the_22_extensions_fit_in_memory(tmp_path):
+    # an attack-free frame of 22 arguments has 2^22 admissible sets: a
+    # decision tests their masks and builds no set per extension
+    limit = 3 << 29  # 1.5 GB of address space
     for task, query in (("ver", "0,1"), ("cred", "0")):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bipolaraba.cli", "solve", str(path),
-             "--sigma", "ad", "--task", task, "--query", query],
-            capture_output=True, text=True, env=env, preexec_fn=cap_memory,
-            timeout=300)
+        proc = solve_capped(tmp_path, 22, limit, "--sigma", "ad", "--task",
+                            task, "--query", query)
         assert (proc.returncode, proc.stdout) == (0, "YES\n"), proc.stderr
+
+
+def test_enumerating_two_to_the_20_extensions_fits_in_memory(tmp_path):
+    # the 2^20 admissible sets of an attack-free frame of 20 arguments are
+    # written from the fragments of their halves, with no tuple or string
+    # per set: about 190 MB (text) and 230 MB (JSON) of address space,
+    # where member tuples and a json.dumps walk took 370 and 470 MB
+    limit = 5 << 26  # 320 MB of address space
+    proc = solve_capped(tmp_path, 20, limit, "--sigma", "ad")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[]\n[0]\n[0,1]\n[0,1,2]\n")
+    assert proc.stdout.endswith("\n[18,19]\n[19]\ncount: 1048576\n")
+    assert proc.stdout.count("\n") == (1 << 20) + 1
+    proc = solve_capped(tmp_path, 20, limit, "--sigma", "ad", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        '{"answer": null, "extensions": [[], ["0"], ["0", "1"], ')
+    assert proc.stdout.endswith(
+        ', ["19"]], "query": null, "semantics": "ad", "task": "enumerate"}\n')
+    assert proc.stdout.count("[") == (1 << 20) + 1

@@ -1,6 +1,7 @@
 """The factor-table join of the subset engine against brute-force filters
 over all 2^n sets, forward chaining against the reference theory, and the
-mask-to-set conversion."""
+mask-to-set conversion and rendering."""
+import json
 import random
 from itertools import product
 
@@ -229,6 +230,50 @@ def test_mask_sets_order_by_sorted_member_tuples(case):
     got = masks.mask_sets(sorted(found, reverse=True), labels)
     want = sorted(found, key=lambda m: tuple(i for i in range(n) if m >> i & 1))
     assert got == [frozenset(members(m, labels)) for m in want]
+
+
+# labels that JSON escapes or that look like list syntax
+ESCAPED = ['"q"', "back\\slash", "\u00e9", "\u2603", "[x]", "a,b", "", " "]
+
+
+@st.composite
+def rendered_families(draw):
+    """(masks, labels, order): up to 3,000 masks over n <= 24 bits, either
+    random or every subset of a few bits over a random base, so halves are
+    rare or widely shared; labels with escapes; order None or a
+    permutation."""
+    n = draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        found = rng.integers(0, 1 << n, draw(st.integers(0, 3000)))
+    else:
+        found = np.array([rng.integers(0, 1 << n)])
+        for b in rng.permutation(n)[:draw(st.integers(0, min(n, 11)))]:
+            found = np.concatenate([found & ~(1 << b), found | 1 << b])
+    found = rng.permutation(np.unique(found)).astype(np.uint32)
+    labels = draw(st.lists(st.one_of(st.sampled_from(ESCAPED), st.text(max_size=3)),
+                           min_size=n, max_size=n, unique=True))
+    order = draw(st.one_of(st.none(), st.permutations(range(n))))
+    return found, labels, order
+
+
+@settings(deadline=None, max_examples=60)
+@given(rendered_families())
+def test_mask_text_renders_the_member_tuples(case):
+    found, labels, order = case
+    bit_order = range(len(labels)) if order is None else order
+    # each set as its bit positions in `order`, sorted as lists: a prefix first
+    spots = sorted([j for j, i in enumerate(bit_order) if m >> i & 1]
+                   for m in found.tolist())
+    want = [tuple(labels[bit_order[j]] for j in js) for js in spots]
+    assert masks.mask_members(found, labels, order) == want
+    encoded = [json.dumps(x) for x in labels]
+    assert ("[" + masks.mask_text(found, encoded, ", ", ", ", order) + "]"
+            == json.dumps(want))
+    assert (masks.mask_text(found, labels, ",", "\n", order)
+            == "\n".join("[" + ",".join(m) + "]" for m in want))
+    if order is None:
+        assert masks.mask_sets(found, labels) == [frozenset(m) for m in want]
 
 
 def test_unknown_semantics_is_refused_before_an_engine_is_built(monkeypatch):
