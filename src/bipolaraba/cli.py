@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 bad query or wrong framework kind, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -283,9 +284,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argparse tree, built by the first `main` call and kept: parsing
+    leaves it unchanged, and building it costs about twenty parses."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

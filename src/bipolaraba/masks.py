@@ -18,8 +18,9 @@ projections of a theory table over all assumption masks, and leaves the
 high factor empty. `forward_chain`, the one forward-chaining routine,
 fills that table block by block and serves any list of assumption sets.
 `families`, the one route from a frame to extension masks, runs any
-names on one engine and one candidate join. `_subset_or`, one subset-OR
-transform, serves closed-set defense and maximality; `_unmet`, one
+names on one engine and one candidate join. `_subset_or`, the subset-OR
+transform of a uint32 table, serves only closed-set defense; maximality
+runs `_superset_or` over 2^n bits, 64 sets to a word. `_unmet`, one
 unmet-mask test, serves attacker-closure defense and pBAF exhaustiveness.
 `mask_text`, the one rendering routine, writes a family's text and JSON
 from the member text of each distinct mask half, built once and gathered
@@ -38,8 +39,10 @@ ENUM_LIMIT = 24
 SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
 DEFENSE_MODES = ("closed-sets", "attacker-closure")
 TASKS = ("enumerate", "cred", "skept", "ver")
-# largest mask-pair matrix maximal_masks builds instead of its 2^n table
-PAIRWISE_LIMIT = 1 << 20
+# mask pairs maximal_masks compares in about the time its 2^n-bit table
+# takes at small n: it compares a list pairwise while len^2 is at most
+# PAIRWISE_LIMIT + 2^n
+PAIRWISE_LIMIT = 1 << 16
 # bytes of theory table per forward-chaining block of assumption masks:
 # bounds its memory whatever the number of assumptions and atoms
 CHAIN_BYTES = 1 << 22
@@ -397,27 +400,61 @@ def closed_set_gamma(eng, rng):
     return _subset_or(f)[eng.full ^ rng] ^ eng.full
 
 
+def _superset_or(src, n, dst=None):
+    """On a table of one bit per set m over n bits, bit m & 63 of 64-bit
+    word m >> 6. With dst None, in place: set m becomes the OR of the sets
+    containing m. Given dst: dst's set m is OR-ed with src's sets m | b,
+    b a bit not in m. Bits 0..5 of m index within a word, where shifting
+    right by 2^i moves each set with bit i onto the set without it, and
+    the word (2^64 - 1) / (2^2^i + 1), 0x5555... for bit 0, keeps the
+    sets without it; bits 6..n-1 index the words, as in `_subset_or`."""
+    dst = src if dst is None else dst
+    for i in range(min(n, 6)):
+        low = np.uint64(((1 << 64) - 1) // ((1 << (1 << i)) + 1))
+        dst |= (src >> np.uint64(1 << i)) & low
+    for i in range(6, n):
+        without = _bit_views(dst, i - 6)[0]
+        without |= _bit_views(src, i - 6)[1]
+    return dst
+
+
 def maximal_masks(masks, n):
     """Drop every mask that has a strict superset in the list; masks are
     over n bits and keep their order.
 
-    A short list is compared pairwise. Otherwise one `_subset_or` over the
-    masks' complements tells whether a listed mask holds m plus a bit it
-    lacks, O(n 2^n) whatever the list's length.
+    A list of up to sqrt(PAIRWISE_LIMIT + 2^n) masks is compared
+    pairwise, the cheaper route there. Otherwise the listed masks are
+    marked in a table of 2^n bits, 64 to a word; `_superset_or` turns it
+    into S[m], some listed mask contains m, and S into X[m], some S[m | b]
+    with b not in m, that is some listed mask strictly contains m; each
+    mask then reads its bit of X. That is 2n passes over 2^n / 64 words
+    whatever the list's length. Both routes test the list in blocks of at
+    most JOIN_ENTRIES pairs or masks. `_subset_or` is left to closed-set
+    defense, whose table holds uint32 masks, not bits.
     """
     masks = np.asarray(masks, dtype=np.uint32)
-    if len(masks) ** 2 <= min(n << n, PAIRWISE_LIMIT):
-        superset = (masks[:, None] & ~masks[None, :]) == 0
-        strict = superset & (masks[:, None] != masks[None, :])
-        return masks[~strict.any(axis=1)]
-    lacks = np.uint32((1 << n) - 1) ^ masks
-    table = np.zeros(1 << n, dtype=bool)
-    table[lacks] = True
-    _subset_or(table)
-    strict = np.zeros(len(masks), dtype=bool)
-    for bit in np.uint32(1) << np.arange(n, dtype=np.uint32):
-        strict |= ((lacks & bit) != 0) & table[lacks & ~bit]
-    return masks[~strict]
+    keep = np.empty(len(masks), dtype=bool)
+    if len(masks) ** 2 <= PAIRWISE_LIMIT + (1 << n):
+        lacks = ~masks
+        step = max(1, JOIN_ENTRIES // max(len(masks), 1))
+        for s in range(0, len(masks), step):
+            m = masks[s:s + step, None]
+            strict = (m & lacks) == 0
+            strict &= m != masks
+            np.logical_not(strict.any(axis=1), out=keep[s:s + step])
+        return masks[keep]
+    table = np.zeros(max(1 << n, 64), dtype=bool)
+    table[masks] = True
+    listed = np.packbits(table, bitorder="little").view("<u8")
+    del table
+    _superset_or(listed, n)
+    bits = _superset_or(listed, n, np.zeros_like(listed)).view(np.uint8)
+    for s in range(0, len(masks), JOIN_ENTRIES):
+        m = masks[s:s + JOIN_ENTRIES]
+        byte = bits[m >> np.uint32(3)]
+        byte >>= (m & np.uint32(7)).astype(np.uint8)
+        np.equal(byte & np.uint8(1), 0, out=keep[s:s + JOIN_ENTRIES])
+    return masks[keep]
 
 
 # entry b: the byte b with its bits in reverse order, and its bit count

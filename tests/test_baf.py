@@ -106,7 +106,7 @@ def test_preferred_on_mutually_attacking_pairs():
         for m in range(1024))
 
 
-def test_maximal_masks_matches_pairwise_definition():
+def test_maximal_masks_matches_pairwise_definition(monkeypatch):
     # short lists take the pairwise route, long ones the 2^n table
     rng = random.Random(0)
     for n, k in ((0, 1), (4, 3), (16, 300), (6, 40), (8, 200), (12, 1500),
@@ -116,6 +116,20 @@ def test_maximal_masks_matches_pairwise_definition():
                 if not any(m != o and m & ~o == 0 for o in masks)]
         got = maximal_masks(np.array(masks, dtype=np.uint32), n)
         assert got.tolist() == want
+    # each route forced in turn: below one 64-bit word of sets (n < 6), at
+    # one word and above; random subsets of a few tops, some masks listed
+    # twice, in no order, and the output in list order
+    for n in (0, 1, 5, 6, 7, 12, 18, 24):
+        tops = [rng.getrandbits(n) for _ in range(3)]
+        masks = tops + [t & rng.getrandbits(n) for t in tops for _ in range(60)]
+        masks += [masks[0], masks[-1], 0]
+        rng.shuffle(masks)
+        want = [m for m in masks
+                if not any(m != o and m & ~o == 0 for o in masks)]
+        for limit in (1 << 62, -(1 << 62)):
+            monkeypatch.setattr("bipolaraba.masks.PAIRWISE_LIMIT", limit)
+            got = maximal_masks(np.array(masks, dtype=np.uint32), n)
+            assert got.tolist() == want
 
 
 def test_decide(ex32, ex38):

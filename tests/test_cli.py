@@ -9,6 +9,7 @@ import pytest
 
 from bipolaraba import (Cnf, construct_sat_baf, construct_skept_pbaf,
                         instantiate_baf, parse_baf, parse_pbaf)
+from bipolaraba import cli
 from bipolaraba.cli import main
 from conftest import build_ex22
 from test_aba import EX22_TEXT
@@ -369,6 +370,27 @@ def test_repeated_runs_are_byte_identical(capsys, aba_file, baf_file):
         assert first[0] == 0
 
 
+def test_the_kept_parser_answers_as_a_fresh_one(capsys, monkeypatch,
+                                                aba_file, baf_file):
+    # main builds its argparse tree once per process: no default, such as
+    # fuzz's --checks list, may carry over from one request to the next
+    requests = (("solve", baf_file, "--sigma", "pr"),
+                ("fuzz", "--count", "1"),
+                ("solve", baf_file, "--sigma", "ad", "--task", "cred",
+                 "--query", "x", "--format", "json"),
+                ("translate", aba_file, "--target", "pbaf"))
+    kept = [run(capsys, *argv) for argv in requests]
+    assert [code for code, _, _ in kept] == [0, 0, 0, 0]
+    assert cli._parser() is cli._parser()
+    parsed = [vars(cli._parser().parse_args(argv)) for argv in requests]
+    assert parsed[1]["checks"] == ["correspondence", "defense-eq",
+                                   "constructions"]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run(capsys, *argv) for argv in requests] == kept
+    assert [vars(cli.build_parser().parse_args(argv))
+            for argv in requests] == parsed
+
+
 # ------------------------------------------------------------ golden output
 
 DATA = Path(__file__).parent / "data"
@@ -400,12 +422,10 @@ def test_solve_output_is_pinned(capsys, name):
 
 # ------------------------------------------------------------- memory bound
 
-def solve_capped(tmp_path, n, limit, *args):
-    """`solve` on an attack-free frame of n arguments in a fresh process
-    with `limit` bytes of address space."""
+def run_capped(limit, *argv):
+    """The interpreter on argv in a fresh process with `limit` bytes of
+    address space."""
     resource = pytest.importorskip("resource")
-    path = tmp_path / "free.baf"
-    path.write_text(f"p baf {n}\n")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -414,9 +434,16 @@ def solve_capped(tmp_path, n, limit, *args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
-        [sys.executable, "-m", "bipolaraba.cli", "solve", str(path), *args],
-        capture_output=True, text=True, env=env, preexec_fn=cap_memory,
-        timeout=300)
+        [sys.executable, *argv], capture_output=True, text=True, env=env,
+        preexec_fn=cap_memory, timeout=300)
+
+
+def solve_capped(tmp_path, n, limit, *args):
+    """`solve` on an attack-free frame of n arguments in a fresh process
+    with `limit` bytes of address space."""
+    path = tmp_path / "free.baf"
+    path.write_text(f"p baf {n}\n")
+    return run_capped(limit, "-m", "bipolaraba.cli", "solve", str(path), *args)
 
 
 def test_decisions_on_two_to_the_22_extensions_fit_in_memory(tmp_path):
@@ -447,3 +474,16 @@ def test_enumerating_two_to_the_20_extensions_fits_in_memory(tmp_path):
     assert proc.stdout.endswith(
         ', ["19"]], "query": null, "semantics": "ad", "task": "enumerate"}\n')
     assert proc.stdout.count("[") == (1 << 20) + 1
+
+
+def test_maximality_over_all_two_to_the_24_masks_fits_in_memory():
+    # the maximal masks of all 2^24 sets come from tables of 2^24 bits:
+    # about 200 MB of address space, where the 2^24-entry bool table and
+    # its per-bit uint32 gathers took 356 MB
+    limit = 17 << 24  # 272 MB of address space
+    proc = run_capped(
+        limit, "-c", "import numpy as np; "
+        "from bipolaraba.masks import maximal_masks; "
+        "print(maximal_masks(np.arange(1 << 24, dtype=np.uint32), 24).tolist())")
+    assert (proc.returncode, proc.stdout) == (0, f"[{(1 << 24) - 1}]\n"), \
+        proc.stderr

@@ -276,6 +276,34 @@ def test_mask_text_renders_the_member_tuples(case):
         assert masks.mask_sets(found, labels) == [frozenset(m) for m in want]
 
 
+@st.composite
+def mask_lists(draw):
+    """(masks, n): up to 90 masks over n <= 24 bits, random or random
+    subsets of a few random tops, some listed twice, in random order."""
+    n = draw(st.integers(0, 24))
+    full = (1 << n) - 1
+    tops = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+    found = tops + draw(st.lists(st.one_of(
+        st.integers(0, full),
+        st.builds(int.__and__, st.sampled_from(tops), st.integers(0, full))),
+        max_size=80))
+    found += draw(st.lists(st.sampled_from(found), max_size=10))
+    return draw(st.permutations(found)), n
+
+
+@settings(deadline=None, max_examples=80)
+@given(mask_lists(), st.sampled_from([1 << 62, -(1 << 62)]))
+def test_maximal_masks_match_the_definition_on_either_route(case, limit):
+    # PAIRWISE_LIMIT at either extreme forces the pairwise or the packed
+    # 2^n-bit table route
+    found, n = case
+    want = [m for m in found if not any(m != o and m & ~o == 0 for o in found)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks, "PAIRWISE_LIMIT", limit)
+        got = masks.maximal_masks(np.array(found, dtype=np.uint32), n)
+    assert got.tolist() == want
+
+
 def test_unknown_semantics_is_refused_before_an_engine_is_built(monkeypatch):
     def no_engine(*args):
         raise AssertionError("engine built")
