@@ -254,8 +254,7 @@ def aba_decide(frame: AbaFramework, task, semantics, query=None):
     cred: query assumption lies in some extension. skept: in every extension
     (vacuously true when there are none). ver: the query set is an extension.
     """
-    result = masks.decide(task, query, frame.resolve,
-                          lambda: masks.families(frame, (semantics,))[semantics])
+    result = masks.decide(frame, task, semantics, query)
     return masks.mask_sets(result, frame.assumptions) if task == "enumerate" else result
 
 

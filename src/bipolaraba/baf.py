@@ -45,6 +45,10 @@ class Baf:
         """The subset engine over all argument sets."""
         return masks.baf_engine(self.n, self.att, self.sup)
 
+    def dung_masks(self, semantics):
+        """The masks of `af_extensions`, the textbook Dung scan."""
+        return np.array(_af_masks(self, semantics), dtype=np.uint32)
+
     def resolve(self, ref):
         """Accept an argument name or a numeric id."""
         if isinstance(ref, int):
@@ -84,6 +88,10 @@ class Pbaf:
     def engine(self):
         """The subset engine of the underlying BAF."""
         return self.baf.engine()
+
+    def resolve(self, ref):
+        """An argument of the underlying BAF, by name or numeric id."""
+        return self.baf.resolve(ref)
 
 
 # ------------------------------------------------------------- set algebra
@@ -223,24 +231,17 @@ def _af_masks(frame: Baf, semantics):
 # ----------------------------------------------------------------- tasks
 
 def baf_decide(frame, task, semantics, query=None, classic=False):
-    """Credulous / skeptical / verification tasks over one semantics.
+    """Credulous / skeptical / verification tasks over one semantics, by
+    `masks.decide`.
 
-    `frame` may be a Baf or a Pbaf. Skeptical acceptance over an empty
-    family is vacuously true. The engine route takes up to ENUM_LIMIT
-    arguments; the classic route, a plain scan, only up to AF_LIMIT.
+    `frame` may be a Baf or a Pbaf; `classic` takes only a Baf. Skeptical
+    acceptance over an empty family is vacuously true. The engine route
+    takes up to ENUM_LIMIT arguments; the classic route, a plain scan,
+    only up to AF_LIMIT.
     """
-    base, source = _source(frame, semantics, classic)
-    result = masks.decide(task, query, base.resolve, source)
-    return masks.mask_sets(result, range(base.n)) if task == "enumerate" else result
-
-
-def _source(frame, semantics, classic=False):
-    """The underlying Baf of a Baf or a Pbaf and its extension-mask source."""
-    base = frame.baf if isinstance(frame, Pbaf) else frame
-    if classic:
-        return base, lambda: np.array(_af_masks(base, semantics),
-                                      dtype=np.uint32)
-    return base, lambda: masks.families(frame, (semantics,))[semantics]
+    result = masks.decide(frame, task, semantics, query, classic)
+    n = frame.baf.n if isinstance(frame, Pbaf) else frame.n
+    return masks.mask_sets(result, range(n)) if task == "enumerate" else result
 
 
 # ---------------------------------------------------------------- text io

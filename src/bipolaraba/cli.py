@@ -7,8 +7,9 @@ Verbs:
   fuzz        run the randomized cross-checks
   export-dot  any framework file as a DOT graph
 
-Exit codes: 0 success, 1 bad query or wrong framework kind, 2 parse error,
-3 size guard or argument cap.
+Exit codes: 0 success, 1 bad query, wrong framework kind or unreadable
+input, 2 parse error (input that is not UTF-8 too), 3 size guard or
+argument cap.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import functools
 import json
 import sys
 
-from . import baf, harness, masks
+from . import harness
 from .aba import ARGUMENT_CAP, parse_aba
 from .baf import Pbaf, format_baf, format_pbaf, parse_baf, parse_pbaf
 from .errors import (CapExceeded, ParseError, SolverError, TooLarge)
@@ -29,10 +30,16 @@ from .reductions import (construct_gr_baf, construct_sat_baf,
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a framework or CNF file, or of stdin for "-"."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SolverError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"not UTF-8 text: {path}") from None
 
 
 def _detect(text):
@@ -60,21 +67,6 @@ def load_framework(text):
 
 # ------------------------------------------------------------------- solve
 
-def _decider(kind, frame, sigma, classic):
-    """The query-item-to-bit map and the extension-mask source of a
-    framework, and the labels and bit order its members print in: (p)BAF
-    arguments by id, ABA assumptions by name."""
-    if classic and kind != "baf":
-        raise SolverError("classic Dung semantics apply to plain BAF files")
-    if kind == "aba":
-        labels = frame.assumptions
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        return (frame.resolve, lambda: masks.families(frame, (sigma,))[sigma],
-                labels, order)
-    base, source = baf._source(frame, sigma, classic=classic)
-    return base.resolve, source, base.names, None
-
-
 def run_solve(args):
     if len(args.path) == 2:
         declared, path = args.path
@@ -93,11 +85,15 @@ def run_solve(args):
         raise SolverError(f"task {task} needs --query")
     if task == "ver" and query is None:
         raise SolverError("task ver needs --query with a comma-separated set")
-    bit, extension_masks, labels, order = _decider(kind, frame, args.sigma,
-                                                   args.classic)
     if task == "ver":
         query = [q for q in query.split(",") if q]
-    result = decide(task, query, bit, extension_masks)
+    result = decide(frame, task, args.sigma, query, args.classic)
+    # members print as (p)BAF arguments by id, ABA assumptions by name
+    if kind == "aba":
+        labels = frame.assumptions
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+    else:
+        labels, order = (frame.baf if kind == "pbaf" else frame).names, None
     if args.format == "json":
         # json.dumps(sort_keys=True) puts "answer" and "extensions" first;
         # the family's text, with each label encoded once, goes in between

@@ -18,7 +18,10 @@ projections of a theory table over all assumption masks, and leaves the
 high factor empty. `forward_chain`, the one forward-chaining routine,
 fills that table block by block and serves any list of assumption sets.
 `families`, the one route from a frame to extension masks, runs any
-names on one engine and one candidate join. `_subset_or`, the subset-OR
+names on one engine and one candidate join, which `stb` shares; `cf`
+alone joins apart. `decide`, the one route from a request to an answer
+for every formalism, takes the frame, resolves the query on it and takes
+the family from `families`. `_subset_or`, the subset-OR
 transform of a uint32 table, serves only closed-set defense; maximality
 runs `_superset_or` over 2^n bits, 64 sets to a word. `_unmet`, one
 unmet-mask test, serves attacker-closure defense and pBAF exhaustiveness.
@@ -33,7 +36,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import SolverError, TooLarge
 
 ENUM_LIMIT = 24
 SEMANTICS = ("cf", "ad", "co", "gr", "pr", "stb")
@@ -178,8 +181,8 @@ class SubsetEngine:
     def admissible_flags(self, cand, g):
         return (cand & ~g) == 0
 
-    def stable_masks(self):
-        cand = self._join(conflict_free=True, closed=True)
+    def stable_masks(self, cand):
+        """The candidates that attack every element outside them."""
         return cand[self.range_of(cand) == (self.full ^ cand)]
 
     def premise_tables(self, premises):
@@ -350,15 +353,20 @@ def families(frame, names):
     """The extension masks of each semantics in `names` over a Baf, a Pbaf
     or an AbaFramework, by name. The names are checked before the engine
     is built, once; the candidate join, `gamma` and a Pbaf's exhaustiveness
-    filter run at most once, and only what the names need comes after."""
+    filter run at most once, `stb` on the same candidates, and only what
+    the names need comes after."""
     for s in names:
         if s not in SEMANTICS:
             raise ValueError(f"unknown semantics {s!r}")
     want = set(names)
     eng = frame.engine()
     out = {}
-    if want & {"ad", "co", "gr", "pr"}:
+    if want & {"ad", "co", "gr", "pr", "stb"}:
         cand = eng.candidate_masks()
+    if "stb" in want:
+        # a pBAF's stable sets are its BAF's: taken before exhaustiveness
+        out["stb"] = eng.stable_masks(cand)
+    if want & {"ad", "co", "gr", "pr"}:
         g = eng.gamma(cand)
         if hasattr(frame, "premises"):
             keep = eng.exhaustive_flags(cand, eng.premise_tables(frame.premises))
@@ -376,8 +384,6 @@ def families(frame, names):
         out["gr"] = np.array([least], dtype=np.uint32)
     if "cf" in want:
         out["cf"] = eng.conflict_free_masks()
-    if "stb" in want:
-        out["stb"] = eng.stable_masks()
     return {s: out[s] for s in names}
 
 
@@ -568,22 +574,28 @@ def mask_sets(masks, labels):
     return [frozenset(t) for t in mask_members(masks, labels)]
 
 
-def decide(task, query, bit, extension_masks):
-    """The task dispatch of every formalism, on extension masks.
+def decide(frame, task, semantics, query=None, classic=False):
+    """The one route from a request to an answer, over a Baf, a Pbaf or an
+    AbaFramework.
 
-    enumerate: the masks themselves. cred: the query is in some extension.
+    enumerate: the extension masks. cred: the query is in some extension.
     skept: in every extension (vacuously true when there are none). ver:
-    the query set is an extension. `bit` checks one query item and gives
-    its bit index; `extension_masks()` enumerates the family once the
-    query is checked.
+    the query set is an extension. The task, `classic` (a plain Baf's
+    independent Dung scan, `dung_masks`) and each query item, by
+    `frame.resolve`, are checked before any engine is built.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if classic and not hasattr(frame, "dung_masks"):
+        raise SolverError("classic Dung semantics apply to plain BAF files")
+    if task != "enumerate":
+        items = query if task == "ver" else [query]
+        target = np.uint32(sum({1 << frame.resolve(x) for x in items}))
+    found = (frame.dung_masks(semantics) if classic
+             else families(frame, (semantics,))[semantics])
     if task == "enumerate":
-        return extension_masks()
+        return found
     if task == "ver":
-        target = np.uint32(sum({1 << bit(x) for x in query}))
-        return bool(np.any(extension_masks() == target))
-    b = np.uint32(1 << bit(query))
-    hit = extension_masks() & b
+        return bool(np.any(found == target))
+    hit = found & target
     return bool(hit.any() if task == "cred" else hit.all())

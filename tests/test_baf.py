@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from bipolaraba import (Baf, Pbaf, ParseError, SupportsPresent, TooLarge,
-                        af_extensions, attack_range, baf_closure, baf_decide,
-                        baf_defends, baf_extensions, characteristic,
-                        format_baf, format_pbaf, is_exhaustive, parse_baf,
-                        parse_pbaf, pbaf_extensions)
+from bipolaraba import (Baf, Pbaf, ParseError, SolverError, SupportsPresent,
+                        TooLarge, af_extensions, attack_range, baf_closure,
+                        baf_decide, baf_defends, baf_extensions,
+                        characteristic, format_baf, format_pbaf,
+                        is_exhaustive, parse_baf, parse_pbaf, pbaf_extensions)
 from bipolaraba.harness import random_baf, random_pbaf
 from bipolaraba.masks import maximal_masks
 from conftest import named_family, names_of
@@ -227,6 +227,18 @@ def test_af_guard():
     ring = Baf(17, [(i, (i + 1) % 17) for i in range(17)], [])
     with pytest.raises(TooLarge):
         baf_decide(ring, "enumerate", "co", classic=True)
+
+
+def test_classic_on_a_pbaf_is_refused():
+    # the Dung scan would drop the premises: {0} and {1} are admissible in
+    # the BAF, but a set holding premise 0 must hold both arguments
+    pbaf = Pbaf(Baf(2, [], []), [{0}, {0}], 1)
+    for task, query in (("enumerate", None), ("ver", ["0"]), ("cred", "0")):
+        with pytest.raises(SolverError, match="classic Dung semantics apply "
+                                              "to plain BAF files"):
+            baf_decide(pbaf, task, "ad", query, classic=True)
+    assert baf_decide(pbaf, "ver", "ad", ["0"]) is False
+    assert baf_decide(pbaf, "enumerate", "ad") == [frozenset(), frozenset({0, 1})]
 
 
 # --------------------------------------------------------------- text io

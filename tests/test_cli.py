@@ -177,6 +177,27 @@ def test_solve_from_stdin(capsys, monkeypatch):
     assert "[x,u,v]" in out
 
 
+@pytest.mark.parametrize("verb", [["solve"], ["translate"],
+                                  ["reduce", "--construction", "sat-baf"],
+                                  ["export-dot"]])
+def test_unreadable_input_exits_with_a_one_line_message(capsys, tmp_path, verb):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe")
+    cases = ((tmp_path / "missing", 1, "error: cannot read "),
+             (tmp_path, 1, "error: cannot read "),
+             (binary, 2, f"parse error: not UTF-8 text: {binary}\n"))
+    for path, want, start in cases:
+        code, out, err = run(capsys, verb[0], str(path), *verb[1:])
+        assert (code, out) == (want, "")
+        assert err.startswith(start) and err.count("\n") == 1, err
+
+
+def test_stdin_that_is_not_utf8_is_a_parse_error(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"p baf 1\n\xff\xfe\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(capsys, "solve", "-") == (2, "", "parse error: not UTF-8 text: -\n")
+
+
 def test_missing_query(capsys, baf_file):
     for task in ("cred", "skept", "ver"):
         code, _, err = run(capsys, "solve", baf_file, "--task", task)
@@ -487,3 +508,29 @@ def test_maximality_over_all_two_to_the_24_masks_fits_in_memory():
         "print(maximal_masks(np.arange(1 << 24, dtype=np.uint32), 24).tolist())")
     assert (proc.returncode, proc.stdout) == (0, f"[{(1 << 24) - 1}]\n"), \
         proc.stderr
+
+
+def test_the_benchmark_tracer_finds_every_engine_method(tmp_path):
+    # perfbench/tracer.py wraps the SubsetEngine methods it names in
+    # ENGINE_METHODS: a method renamed away breaks the traced benchmark
+    root = Path(__file__).parent.parent
+    path = tmp_path / "three.pbaf"
+    path.write_text("p pbaf 3 2\natt 0 1\nsup 1 2\nprem 0 0\nprem 2 1\n")
+    code = (
+        "from tracer import ENGINE_METHODS, Tracer\n"
+        "from bipolaraba import cli\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.job = 0\n"
+        "for sigma in ('ad', 'stb'):\n"
+        f"    cli.main(['solve', {str(path)!r}, '--sigma', sigma])\n"
+        "seen = {span[0] for span in tracer.spans}\n"
+        "print([m for m in ENGINE_METHODS\n"
+        "       if 'masks.SubsetEngine.' + m not in seen])\n")
+    paths = [str(root / "perfbench"), str(root / "src"),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout

@@ -13,7 +13,8 @@ from bipolaraba import (AbaFramework, Baf, GenParams, Pbaf, aba_closure,
                         aba_decide, aba_extensions, attack_range, baf_closure,
                         baf_decide, baf_extensions, instantiate_pbaf,
                         pbaf_extensions, random_aba, random_baf, random_pbaf)
-from bipolaraba import masks
+from bipolaraba import (NotAnAssumption, cli, format_aba, format_baf,
+                        format_pbaf, masks)
 from bipolaraba.aba import attacker_closures
 from conftest import build_ex22, build_ex32, build_ex44
 from reference_impl import (aba_att, aba_cl, aba_defends, aba_theory, family,
@@ -50,7 +51,8 @@ def assert_engine_matches(eng, want):
     assert eng.range_of(every).tolist() == want["range_of"]
     for name in ("candidate_masks", "conflict_free_masks", "closed_masks"):
         assert getattr(eng, name)().tolist() == want[name], name
-    assert sorted(eng.stable_masks().tolist()) == want["stable_masks"]
+    assert sorted(eng.stable_masks(eng.candidate_masks()).tolist()) == \
+        want["stable_masks"]
 
 
 # 0 to 3, odd and even, up to 12; sparse frames have many candidates
@@ -326,6 +328,33 @@ def test_unknown_semantics_is_refused_before_an_engine_is_built(monkeypatch):
             call()
 
 
+def test_a_bad_query_item_is_refused_before_an_engine_is_built(
+        monkeypatch, tmp_path, capsys):
+    def no_engine(*args):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(masks, "baf_engine", no_engine)
+    monkeypatch.setattr(masks, "aba_engine", no_engine)
+    baf, aba = build_ex32(), build_ex22()
+    pbaf = Pbaf(baf, [frozenset()] * baf.n, 0)
+    for frame in (baf, pbaf):
+        with pytest.raises(KeyError, match="nosuch"):
+            baf_decide(frame, "cred", "co", "nosuch")
+        with pytest.raises(KeyError, match="out of range"):
+            baf_decide(frame, "ver", "co", ["x", "5"])
+    for task, query in (("skept", "nb"), ("ver", ["a", "nb"])):
+        with pytest.raises(NotAnAssumption, match="nb"):
+            aba_decide(aba, task, "co", query)
+    files = {"ex32.baf": format_baf(baf), "ex32.pbaf": format_pbaf(pbaf),
+             "ex22.aba": format_aba(aba)}
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["solve", str(path), "--task", "cred",
+                         "--query", "nosuch"]) == 1
+        assert "nosuch" in capsys.readouterr().err
+
+
 def pair_pbaf(pairs):
     """Mutually attacking pairs, two supports across pairs, each argument
     its own premise but the first arguments of the last two pairs, which
@@ -424,7 +453,27 @@ def test_a_single_name_computes_only_what_it_needs(monkeypatch):
         check(("cf", "ad", "co", "gr", "stb"))
         with pytest.raises(AssertionError, match="not needed"):
             masks.families(frames[0], ("pr",))
-    monkeypatch.setattr(masks.SubsetEngine, "candidate_masks", refuse)
+    monkeypatch.setattr(masks.SubsetEngine, "gamma", refuse)
     check(("cf", "stb"))
     with pytest.raises(AssertionError, match="not needed"):
         masks.families(frames[0], ("ad",))
+    monkeypatch.setattr(masks.SubsetEngine, "candidate_masks", refuse)
+    check(("cf",))
+    with pytest.raises(AssertionError, match="not needed"):
+        masks.families(frames[0], ("stb",))
+
+
+def test_families_join_once_for_the_candidates_and_once_for_cf(monkeypatch):
+    joins = []
+    join = masks.SubsetEngine._join
+
+    def counted(eng, conflict_free, closed):
+        joins.append((conflict_free, closed))
+        return join(eng, conflict_free, closed)
+
+    monkeypatch.setattr(masks.SubsetEngine, "_join", counted)
+    aba = random_aba(GenParams(seed=0))
+    for frame in (build_ex32(), pair_pbaf(3), aba, instantiate_pbaf(aba).pbaf):
+        joins.clear()
+        masks.families(frame, masks.SEMANTICS)
+        assert sorted(joins) == [(True, False), (True, True)]
