@@ -16,7 +16,7 @@ import numpy as np
 from . import masks
 from .errors import CapExceeded, NotAnAssumption, ParseError
 from .masks import DEFENSE_MODES
-from .textio import directives, index, integer, put_once
+from .textio import check_names, directives, index, integer, nonneg, put_once
 
 ARGUMENT_CAP = 5000
 
@@ -48,6 +48,7 @@ class AbaFramework:
 
     def __init__(self, atoms, assumptions, contrary, rules):
         self.atoms = list(atoms)
+        check_names(self.atoms)
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("duplicate atom names")
         self._atom_ix = {p: i for i, p in enumerate(self.atoms)}
@@ -279,9 +280,7 @@ def parse_aba(text):
         if parts[0] == "p":
             if len(parts) != 3 or parts[1] != "aba":
                 raise ParseError("expected 'p aba <n>'", lineno)
-            n = integer(parts[2], lineno)
-            if n < 0:
-                raise ParseError("negative atom count", lineno)
+            n = nonneg(parts[2], lineno)
         elif parts[0] == "a":
             if len(parts) != 2:
                 raise ParseError("expected 'a <i>'", lineno)

@@ -15,7 +15,7 @@ import numpy as np
 from . import masks
 from .errors import ParseError, SupportsPresent, TooLarge
 from .masks import DEFENSE_MODES, SEMANTICS
-from .textio import directives, index, nonneg, put_once
+from .textio import check_names, directives, index, nonneg, put_once
 
 AF_LIMIT = 16
 
@@ -37,6 +37,7 @@ class Baf:
                 raise ValueError(f"edge ({s},{t}) out of range")
         if not self.names:
             self.names = [str(i) for i in range(self.n)]
+        check_names(self.names)
         if len(self.names) != self.n or len(set(self.names)) != self.n:
             raise ValueError("need one distinct name per argument")
         self._name_ix = {nm: i for i, nm in enumerate(self.names)}

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from . import harness
 from .aba import ARGUMENT_CAP, parse_aba
@@ -27,33 +28,24 @@ from .masks import SEMANTICS, TASKS, decide, mask_text
 from .reductions import (construct_gr_baf, construct_sat_baf,
                          construct_skept_baf, construct_skept_pbaf,
                          parse_dimacs)
+from .textio import decode, directives
 
 
 def _read(path):
     """The text of a framework or CNF file, or of stdin for "-"."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise SolverError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ParseError(f"not UTF-8 text: {path}") from None
+    return decode(data, path)
 
 
 def _detect(text):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("p "):
-            parts = line.split()
-            if len(parts) >= 2 and parts[1] in ("aba", "baf", "pbaf"):
-                return parts[1]
-            raise ParseError(f"unrecognized header {line!r}")
-        raise ParseError("first directive must be the 'p' header")
-    raise ParseError("empty input")
+    """The kind named by the 'p' header, the first directive."""
+    _, parts, line = next(directives(text, "aba|baf|pbaf", skip=("arg",)))
+    if len(parts) >= 2 and parts[1] in ("aba", "baf", "pbaf"):
+        return parts[1]
+    raise ParseError(f"unrecognized header {line!r}")
 
 
 def load_framework(text):

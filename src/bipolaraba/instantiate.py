@@ -33,17 +33,19 @@ class Instantiation:
 def _build(frame: AbaFramework, cap):
     args = enumerate_arguments(frame, cap)
     names = [str(a) for a in args]
-    contraries = [frozenset(frame.contrary[x] for x in a.support) for a in args]
     th = frame._theories([a.support for a in args])
     base_index = {}
     for i, a in enumerate(args):
         if len(a.support) == 1 and a.conclusion in a.support:
             base_index[a.conclusion] = i
-    att = []
-    for x, ax in enumerate(args):
-        for y in range(len(args)):
-            if ax.conclusion in contraries[y]:
-                att.append((x, y))
+    # the arguments each atom attacks: those whose support holds an
+    # assumption with that contrary, ascending
+    attacked = {}
+    for y, a in enumerate(args):
+        for p in {frame.contrary[x] for x in a.support}:
+            attacked.setdefault(p, []).append(y)
+    att = [(x, y) for x, a in enumerate(args)
+           for y in attacked.get(a.conclusion, ())]
     sup = []
     for x in range(len(args)):
         for i, a in enumerate(frame.assumptions):

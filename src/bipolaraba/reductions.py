@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .baf import Baf, Pbaf
 from .errors import EmptyClause, ParseError, TooLarge
+from .textio import directives, integer, nonneg
 
 SAT_LIMIT = 20
 
@@ -37,33 +38,18 @@ class Cnf:
 
 
 def parse_dimacs(text):
-    """Standard DIMACS CNF. Clauses are 0-terminated, 'c' lines are comments."""
-    n_vars = None
-    n_clauses = None
+    """Standard DIMACS CNF. Clauses are 0-terminated and may span lines;
+    'c' and '%' lines are comments."""
     clauses = []
     current = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
+    for lineno, parts, _ in directives(text, "cnf", skip=("c", "%")):
+        if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
-            try:
-                n_vars, n_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("bad header numbers", lineno) from None
-            if n_vars < 0 or n_clauses < 0:
-                raise ParseError("negative header numbers", lineno)
+            n_vars, n_clauses = nonneg(parts[2], lineno), nonneg(parts[3], lineno)
             continue
-        if n_vars is None:
-            raise ParseError("clause before 'p cnf' header", lineno)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"expected a literal, got {tok!r}", lineno) from None
+        for tok in parts:
+            lit = integer(tok, lineno)
             if lit == 0:
                 if not current:
                     raise EmptyClause("clause without literals", lineno)
@@ -73,11 +59,9 @@ def parse_dimacs(text):
                 if abs(lit) > n_vars:
                     raise ParseError(f"variable {abs(lit)} out of range", lineno)
                 current.append(lit)
-    if n_vars is None:
-        raise ParseError("missing 'p cnf' header")
     if current:
         raise ParseError("last clause is not 0-terminated")
-    if n_clauses is not None and len(clauses) != n_clauses:
+    if len(clauses) != n_clauses:
         raise ParseError(f"header promises {n_clauses} clauses, found {len(clauses)}")
     return Cnf(n_vars, clauses)
 

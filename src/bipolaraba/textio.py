@@ -1,5 +1,14 @@
-"""Lines and number tokens of the ABA and (p)BAF text formats."""
+"""Text, lines, number tokens and names of the ABA, (p)BAF and DIMACS
+formats: every input is decoded and split into directives here."""
 from .errors import ParseError
+
+
+def decode(data, source):
+    """The bytes of an input as strict UTF-8 text; `source` names it."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"not UTF-8 text: {source}") from None
 
 
 def directives(text, kind, skip=()):
@@ -50,3 +59,11 @@ def put_once(table, key, value, lineno, what):
     if key in table:
         raise ParseError(what.format(key), lineno)
     table[key] = value
+
+
+def check_names(names):
+    """Refuse a name that a 'name' line cannot carry back unchanged: an empty
+    one, one with leading or trailing whitespace, or one spanning lines."""
+    for nm in names:
+        if nm.strip() != nm or nm.splitlines() != [nm]:
+            raise ValueError(f"name {nm!r} does not fit on a 'name' line")

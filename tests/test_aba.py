@@ -59,6 +59,7 @@ def test_format_is_a_fixpoint(ex22):
     ("a 1\n", "missing 'p aba"),
     ("p aba 2\np aba 2\n", "duplicate header"),
     ("p aba two\n", "expected an integer"),
+    ("p aba -1\n", "expected a non-negative integer, got -1"),
     ("p aba 2\na 3\n", "out of range"),
     ("p aba 2\nz 1\n", "unknown directive"),
     ("p aba 2\na 1\nc 1 2\nc 1 2\n", "already has a contrary"),
@@ -71,6 +72,11 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_aba(text)
     assert fragment in str(err.value)
+
+
+def test_an_atom_name_that_a_name_line_cannot_carry_is_refused():
+    with pytest.raises(ValueError, match="does not fit on a 'name' line"):
+        AbaFramework(["x", " y"], ["x"], {"x": " y"}, [])
 
 
 def test_parse_error_carries_line_number():

@@ -303,6 +303,15 @@ def test_parse_pbaf_errors():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("name", ["b\nc", " a", "a ", "", "b\x1cc", "b\u2028c"])
+def test_a_name_that_a_name_line_cannot_carry_is_refused(name):
+    # "b\nc" would write a line "c"; " a" would parse back as "a"
+    with pytest.raises(ValueError, match="does not fit on a 'name' line"):
+        Baf(2, [], [], ["a", name])
+    with pytest.raises(ValueError, match="does not fit on a 'name' line"):
+        Pbaf(Baf(2, [], [], [name, "x"]), [(), ()], 0)
+
+
 def test_annotation_lines_are_ignored():
     frame = parse_baf("p baf 2\n# arg 0 concludes x from a\natt 0 1\n")
     assert frame.att == [(0, 1)]

@@ -170,8 +170,15 @@ def test_classic_rejects_aba(capsys, aba_file):
     assert "BAF" in err
 
 
+def byte_stdin(data):
+    """A stdin whose bytes `_read` takes from its buffer, decoded by a
+    wrapper that, like a POSIX locale's, would let any byte through."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="surrogateescape")
+
+
 def test_solve_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(EX32_TEXT))
+    monkeypatch.setattr("sys.stdin", byte_stdin(EX32_TEXT.encode()))
     code, out, _ = run(capsys, "solve", "-", "--sigma", "co")
     assert code == 0
     assert "[x,u,v]" in out
@@ -190,6 +197,19 @@ def test_unreadable_input_exits_with_a_one_line_message(capsys, tmp_path, verb):
         code, out, err = run(capsys, verb[0], str(path), *verb[1:])
         assert (code, out) == (want, "")
         assert err.startswith(start) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("data", [EX32_TEXT.encode(),
+                                  b"p baf 1\nname 0 \xff\n",
+                                  b"p baf 1\r\nname 0 \xc3\xa9\r\n"])
+def test_stdin_and_a_file_give_the_same_answer(capsys, monkeypatch, tmp_path,
+                                               data):
+    path = tmp_path / "in.baf"
+    path.write_bytes(data)
+    from_file = run(capsys, "solve", str(path), "--format", "json")
+    monkeypatch.setattr("sys.stdin", byte_stdin(data))
+    from_stdin = run(capsys, "solve", "-", "--format", "json")
+    assert from_stdin == from_file[:2] + (from_file[2].replace(str(path), "-"),)
 
 
 def test_stdin_that_is_not_utf8_is_a_parse_error(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from bipolaraba import (CapExceeded, NotAnAssumption, arguments_for,
                         assumptions_of, baf_extensions, describe_arguments,
                         instantiate_baf, instantiate_pbaf,
                         is_assumption_exhaustive, pbaf_extensions)
+from bipolaraba.harness import GenParams, random_aba
 from conftest import build_ex22, build_ex44
 
 
@@ -146,3 +147,15 @@ def test_instantiation_is_deterministic():
     assert a.arguments == b.arguments
     assert a.baf == b.baf
     assert a.pbaf == b.pbaf
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_attacks_follow_the_definition_in_pair_order(seed):
+    # x attacks y iff x concludes the contrary of an assumption in y's
+    # support; `translate` writes the edges in (x, y) order
+    frame = random_aba(GenParams(seed=seed))
+    inst = instantiate_baf(frame)
+    args = inst.arguments
+    assert inst.baf.att == [
+        (x, y) for x, ax in enumerate(args) for y, ay in enumerate(args)
+        if any(frame.contrary[a] == ax.conclusion for a in ay.support)]

@@ -1,15 +1,17 @@
 """Randomized properties linking the fast engines, the naive scans and the
 independent AF implementation."""
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bipolaraba import (Cnf, GenParams, Pbaf, aba_closure, aba_decide,
+from bipolaraba import (AbaFramework, Baf, Cnf, GenParams, ParseError, Pbaf,
+                        aba_closure, aba_decide,
                         aba_extensions, af_extensions, baf_closure, baf_decide,
                         baf_defends, baf_extensions, check_defense_equivalence,
                         format_aba, format_baf, format_dimacs, format_pbaf,
                         is_exhaustive, parse_aba, parse_baf, parse_dimacs,
                         parse_pbaf, pbaf_extensions, random_aba, random_baf,
                         random_pbaf)
+from bipolaraba.cli import load_framework
 from bipolaraba.masks import or_table, single_closures
 from reference_impl import (family, naive_aba_extensions,
                             naive_baf_extensions, naive_pbaf_extensions,
@@ -229,6 +231,78 @@ def test_baf_text_round_trip(frame):
 @given(pbaf_frames(max_n=8))
 def test_pbaf_text_round_trip(pframe):
     assert parse_pbaf(format_pbaf(pframe)) == pframe
+
+
+def refused_or_round_trips(build, parse, fmt):
+    try:
+        frame = build()
+    except ValueError:
+        return False
+    assert parse(fmt(frame)) == frame
+    return True
+
+
+# any text, and text made mostly of whitespace and line boundaries
+names_text = st.text(max_size=4) | st.text(" \t\n\r\x0b\x0c\x1c\x85\u2028ab",
+                                            max_size=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(names_text, min_size=1, max_size=5, unique=True), seeds)
+@example(["a", "b\nc"], 0)
+@example(["a", " a"], 0)
+@example(["x", "y\u2028z", ""], 1)
+def test_a_name_is_refused_or_carried_back_unchanged(names, seed):
+    n = len(names)
+    base = random_pbaf(n, seed)
+
+    def graph():
+        return Baf(n, base.baf.att, base.baf.sup, names)
+
+    kept = refused_or_round_trips(graph, parse_baf, format_baf)
+    assert refused_or_round_trips(
+        lambda: Pbaf(graph(), base.premises, base.premise_bound),
+        parse_pbaf, format_pbaf) == kept
+    aba = random_aba(GenParams(n_atoms=n, n_assumptions=min(n, 3),
+                               max_body=min(n, 2), seed=seed))
+    rename = dict(zip(aba.atoms, names))
+    assert refused_or_round_trips(
+        lambda: AbaFramework(
+            names, [rename[a] for a in aba.assumptions],
+            {rename[a]: rename[c] for a, c in aba.contrary.items()},
+            [(rename[h], [rename[b] for b in body]) for h, body in aba.rules]),
+        parse_aba, format_aba) == kept
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def noisy(text, draw):
+    """`text` with blank lines, comments and 'arg' annotations put before
+    and between its lines."""
+    junk = st.sampled_from(["", "   ", "# note", "#", "arg 0 concludes x from -"])
+    out = []
+    for line in text.splitlines():
+        out += draw(st.lists(junk, max_size=2)) + [line]
+    return "\n".join(out + draw(st.lists(junk, max_size=2))) + "\n"
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), baf_frames(), pbaf_frames(), aba_frames())
+def test_detection_then_parsing_equals_the_direct_parser(data, baf, pbaf, aba):
+    for frame, fmt, parse in ((baf, format_baf, parse_baf),
+                              (pbaf, format_pbaf, parse_pbaf),
+                              (aba, format_aba, parse_aba)):
+        text = noisy(fmt(frame), data.draw)
+        got = outcome(lambda t: load_framework(t)[1], text)
+        assert got == outcome(parse, text)
+        # an ABA file has no 'arg' lines: there both refuse them alike
+        if "arg" not in text or parse is not parse_aba:
+            assert got == frame
 
 
 # ---------------------------------------------------------------- decisions
