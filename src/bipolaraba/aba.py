@@ -14,9 +14,9 @@ from itertools import compress, product
 import numpy as np
 
 from . import masks
-from .errors import CapExceeded, NotAnAssumption, ParseError
+from .errors import CapExceeded, NotAnAssumption, ParseError, SolverError
 from .masks import DEFENSE_MODES
-from .textio import check_names, directives, index, integer, nonneg, put_once
+from .textio import check_names, directives, index, integer, put_once
 
 ARGUMENT_CAP = 5000
 
@@ -271,17 +271,13 @@ def parse_aba(text):
     name <i> <label>       optional display name for atom i
     Blank lines and lines starting with # are ignored.
     """
-    n = None
+    _, (n,), lines = directives(text, ("aba",))
     asm = []
     contrary_ix = {}
     rules_ix = []
     names = {}
-    for lineno, parts, line in directives(text, "aba"):
-        if parts[0] == "p":
-            if len(parts) != 3 or parts[1] != "aba":
-                raise ParseError("expected 'p aba <n>'", lineno)
-            n = nonneg(parts[2], lineno)
-        elif parts[0] == "a":
+    for lineno, parts, line in lines:
+        if parts[0] == "a":
             if len(parts) != 2:
                 raise ParseError("expected 'a <i>'", lineno)
             asm.append(_atom(parts[1], n, lineno))
@@ -302,21 +298,14 @@ def parse_aba(text):
                      lineno, "atom {} already has a name")
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    asm_set = set(asm)
-    for i in contrary_ix:
-        if i not in asm_set:
-            raise ParseError(f"atom {i} has a contrary but is not an assumption")
-    for i in asm_set:
-        if i not in contrary_ix:
-            raise ParseError(f"assumption {i} has no contrary")
     label = {i: names.get(i, str(i)) for i in range(1, n + 1)}
-    if len(set(label.values())) != n:
-        raise ParseError("duplicate atom names")
-    atoms = [label[i] for i in range(1, n + 1)]
-    assumptions = [label[i] for i in sorted(asm_set)]
-    contrary = {label[i]: label[j] for i, j in contrary_ix.items()}
-    rules = [(label[r[0]], tuple(label[b] for b in r[1:])) for r in rules_ix]
-    return AbaFramework(atoms, assumptions, contrary, rules)
+    try:
+        return AbaFramework(list(label.values()), [label[i] for i in asm],
+                            {label[i]: label[j] for i, j in contrary_ix.items()},
+                            [(label[r[0]], [label[b] for b in r[1:]])
+                             for r in rules_ix])
+    except (ValueError, SolverError) as exc:
+        raise ParseError(str(exc)) from None
 
 
 def format_aba(frame: AbaFramework):

@@ -15,7 +15,7 @@ import numpy as np
 from . import masks
 from .errors import ParseError, SupportsPresent, TooLarge
 from .masks import DEFENSE_MODES, SEMANTICS
-from .textio import check_names, directives, index, nonneg, put_once
+from .textio import check_names, decimal, directives, index, nonneg, put_once
 
 AF_LIMIT = 16
 
@@ -38,8 +38,10 @@ class Baf:
         if not self.names:
             self.names = [str(i) for i in range(self.n)]
         check_names(self.names)
-        if len(self.names) != self.n or len(set(self.names)) != self.n:
-            raise ValueError("need one distinct name per argument")
+        if len(self.names) != self.n:
+            raise ValueError("need one name per argument")
+        if len(set(self.names)) != self.n:
+            raise ValueError("duplicate argument names")
         self._name_ix = {nm: i for i, nm in enumerate(self.names)}
 
     def engine(self):
@@ -52,15 +54,14 @@ class Baf:
 
     def resolve(self, ref):
         """Accept an argument name or a numeric id."""
-        if isinstance(ref, int):
-            i = ref
+        if isinstance(ref, (int, np.integer)):
+            i = int(ref)
         elif ref in self._name_ix:
             return self._name_ix[ref]
+        elif isinstance(ref, str) and decimal(ref):
+            i = int(ref)
         else:
-            try:
-                i = int(ref)
-            except (TypeError, ValueError):
-                raise KeyError(f"unknown argument {ref!r}") from None
+            raise KeyError(f"unknown argument {ref!r}")
         if not 0 <= i < self.n:
             raise KeyError(f"argument id {i} out of range")
         return i
@@ -256,33 +257,22 @@ def parse_baf(text):
     name <i> <s>    optional display name
     # ...           comment; 'arg' annotation lines are ignored
     """
-    return Baf(*_parse_graph(text, "baf")[:4])
+    return _parse_graph(text, "baf")
 
 
 def parse_pbaf(text):
     """Like parse_baf plus a premise bound and 'prem <i> <p...>' lines."""
-    n, att, sup, names, bound, prem = _parse_graph(text, "pbaf", premises=True)
-    premises = [frozenset(prem.get(i, ())) for i in range(n)]
-    return Pbaf(Baf(n, att, sup, names), premises, bound)
+    return _parse_graph(text, "pbaf")
 
 
-def _parse_graph(text, kind, premises=False):
-    n = None
-    bound = None
+def _parse_graph(text, kind):
+    # bound: [the premise bound] of a pBAF, [] of a BAF
+    _, (n, *bound), lines = directives(text, (kind,), skip=("arg",))
     att, sup = [], []
     names = {}
     prem = {}
-    for lineno, parts, line in directives(text, kind, skip=("arg",)):
-        if parts[0] == "p":
-            want = 4 if premises else 3
-            if len(parts) != want or parts[1] != kind:
-                raise ParseError(f"expected 'p {kind} <n>'"
-                                 + (" with a premise bound" if premises else ""),
-                                 lineno)
-            n = nonneg(parts[2], lineno)
-            if premises:
-                bound = nonneg(parts[3], lineno)
-        elif parts[0] in ("att", "sup"):
+    for lineno, parts, line in lines:
+        if parts[0] in ("att", "sup"):
             if len(parts) != 3:
                 raise ParseError(f"expected '{parts[0]} <i> <j>'", lineno)
             edge = (_arg_id(parts[1], n, lineno), _arg_id(parts[2], n, lineno))
@@ -292,22 +282,23 @@ def _parse_graph(text, kind, premises=False):
                 raise ParseError("expected 'name <i> <s>'", lineno)
             put_once(names, _arg_id(parts[1], n, lineno),
                      line.split(None, 2)[2], lineno, "argument {} already has a name")
-        elif parts[0] == "prem" and premises:
+        elif parts[0] == "prem" and bound:
             if len(parts) < 2:
                 raise ParseError("expected 'prem <i> <p...>'", lineno)
             i = _arg_id(parts[1], n, lineno)
             vals = [nonneg(p, lineno) for p in parts[2:]]
             for v in vals:
-                if v >= bound:
-                    raise ParseError(f"premise id {v} not below bound {bound}",
+                if v >= bound[0]:
+                    raise ParseError(f"premise id {v} not below bound {bound[0]}",
                                      lineno)
             put_once(prem, i, vals, lineno, "argument {} already has premises")
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    labels = [names.get(i, str(i)) for i in range(n)]
-    if len(set(labels)) != n:
-        raise ParseError("duplicate argument names")
-    return n, att, sup, labels, bound, prem
+    try:
+        baf = Baf(n, att, sup, [names.get(i, str(i)) for i in range(n)])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return Pbaf(baf, [prem.get(i, ()) for i in range(n)], *bound) if bound else baf
 
 
 def _arg_id(token, n, lineno):

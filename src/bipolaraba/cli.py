@@ -40,16 +40,8 @@ def _read(path):
     return decode(data, path)
 
 
-def _detect(text):
-    """The kind named by the 'p' header, the first directive."""
-    _, parts, line = next(directives(text, "aba|baf|pbaf", skip=("arg",)))
-    if len(parts) >= 2 and parts[1] in ("aba", "baf", "pbaf"):
-        return parts[1]
-    raise ParseError(f"unrecognized header {line!r}")
-
-
 def load_framework(text):
-    kind = _detect(text)
+    kind, _, _ = directives(text, ("aba", "baf", "pbaf"), skip=("arg",))
     if kind == "aba":
         return kind, parse_aba(text)
     if kind == "baf":

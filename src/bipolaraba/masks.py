@@ -54,10 +54,10 @@ CHAIN_BYTES = 1 << 22
 JOIN_ENTRIES = 1 << 20
 
 
-def or_table(n, rows, dtype=np.uint32):
+def or_table(n, rows):
     """out[m] = OR of rows[k] over the bits k set in m."""
-    out = np.zeros(1 << n, dtype=dtype)
-    rows = np.asarray(rows, dtype=dtype)
+    out = np.zeros(1 << n, dtype=np.uint32)
+    rows = np.asarray(rows, dtype=np.uint32)
     for k in range(n):
         out[1 << k: 2 << k] = out[: 1 << k] | rows[k]
     return out
@@ -581,11 +581,15 @@ def decide(frame, task, semantics, query=None, classic=False):
     enumerate: the extension masks. cred: the query is in some extension.
     skept: in every extension (vacuously true when there are none). ver:
     the query set is an extension. The task, `classic` (a plain Baf's
-    independent Dung scan, `dung_masks`) and each query item, by
-    `frame.resolve`, are checked before any engine is built.
+    independent Dung scan, `dung_masks`), the query's type and each query
+    item, by `frame.resolve`, are checked before any engine is built.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if task == "ver" and isinstance(query, str):
+        raise TypeError("a ver query is a collection of members, not a str")
+    if task in ("cred", "skept") and isinstance(query, (list, tuple, set, frozenset)):
+        raise TypeError(f"a {task} query is one member, not a collection")
     if classic and not hasattr(frame, "dung_masks"):
         raise SolverError("classic Dung semantics apply to plain BAF files")
     if task != "enumerate":

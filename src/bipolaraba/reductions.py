@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .baf import Baf, Pbaf
 from .errors import EmptyClause, ParseError, TooLarge
-from .textio import directives, integer, nonneg
+from .textio import directives, integer
 
 SAT_LIMIT = 20
 
@@ -42,12 +42,8 @@ def parse_dimacs(text):
     'c' and '%' lines are comments."""
     clauses = []
     current = []
-    for lineno, parts, _ in directives(text, "cnf", skip=("c", "%")):
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError("expected 'p cnf <vars> <clauses>'", lineno)
-            n_vars, n_clauses = nonneg(parts[2], lineno), nonneg(parts[3], lineno)
-            continue
+    _, (n_vars, n_clauses), lines = directives(text, ("cnf",), skip=("c", "%"))
+    for lineno, parts, _ in lines:
         for tok in parts:
             lit = integer(tok, lineno)
             if lit == 0:

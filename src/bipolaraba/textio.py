@@ -11,10 +11,28 @@ def decode(data, source):
         raise ParseError(f"not UTF-8 text: {source}") from None
 
 
-def directives(text, kind, skip=()):
-    """(line number, tokens, line) of every directive, the 'p' header
-    included, less blank lines, '#' comments and the directives in `skip`.
-    The header must come first and only once."""
+# the 'p' header of each format: 'p <kind>', then a number per name
+HEADERS = {"aba": ("n",), "baf": ("n",), "pbaf": ("n", "premise bound"),
+           "cnf": ("vars", "clauses")}
+
+
+def directives(text, kinds, skip=()):
+    """(kind, numbers, later) of a text whose first directive is the 'p'
+    header of one of `kinds`: its kind, its non-negative numbers, and an
+    iterator of (line number, tokens, line) over the later directives.
+    Blank lines, '#' comments and the directives in `skip` are left out;
+    a second header is refused."""
+    lines = _lines(text, skip)
+    lineno, parts, _ = next(lines, (None, [None], None))
+    if parts[0] != "p":
+        raise ParseError(f"missing {_shapes(kinds)} header", lineno)
+    kind = parts[1] if len(parts) > 1 and parts[1] in kinds else None
+    if kind is None or len(parts) != 2 + len(HEADERS[kind]):
+        raise ParseError(f"expected {_shapes([kind] if kind else kinds)}", lineno)
+    return kind, [nonneg(t, lineno) for t in parts[2:]], lines
+
+
+def _lines(text, skip):
     header = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -27,18 +45,26 @@ def directives(text, kind, skip=()):
             header = True
         elif parts[0] in skip:
             continue
-        elif not header:
-            raise ParseError(f"missing 'p {kind} <n>' header", lineno)
         yield lineno, parts, line
-    if not header:
-        raise ParseError(f"missing 'p {kind} <n>' header")
+
+
+def _shapes(kinds):
+    """The headers of `kinds` as the messages name them."""
+    return " or ".join(f"'p {k} " + " ".join(f"<{x}>" for x in HEADERS[k]) + "'"
+                       for k in kinds)
+
+
+def decimal(token):
+    """Is the token an optional sign and ASCII digits? `int` reads more:
+    '_' between digits and the digits of other scripts."""
+    return token.isascii() and (token.isdigit()
+                                or token[1:].isdigit() and token[0] in "+-")
 
 
 def integer(token, lineno):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", lineno) from None
+    if not decimal(token):
+        raise ParseError(f"expected an integer, got {token!r}", lineno)
+    return int(token)
 
 
 def nonneg(token, lineno):

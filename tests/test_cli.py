@@ -379,7 +379,7 @@ def test_exit_code_unknown_header(capsys, tmp_path):
     path.write_text("p graph 2\n")
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2
-    assert "unrecognized header" in err
+    assert "expected 'p aba <n>' or 'p baf <n>' or 'p pbaf" in err
 
 
 def test_exit_code_unknown_query(capsys, baf_file):

@@ -328,6 +328,32 @@ def test_unknown_semantics_is_refused_before_an_engine_is_built(monkeypatch):
             call()
 
 
+def test_a_query_of_the_wrong_type_is_refused_before_an_engine_is_built(
+        monkeypatch):
+    # the only complete extension is {0, 1}: the str "10", split into the
+    # items "1" and "0", would verify it
+    baf = Baf(11, [(0, t) for t in range(2, 11)], [])
+    pbaf = Pbaf(baf, [frozenset()] * baf.n, 0)
+    aba = AbaFramework(["ab", "x"], ["ab"], {"ab": "x"}, [])
+    assert baf_decide(baf, "ver", "co", ["10"]) is False
+    assert baf_decide(baf, "ver", "co", ["0", "1"]) is True
+    assert aba_decide(aba, "ver", "co", ["ab"]) is True
+
+    def no_engine(*args):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(masks, "baf_engine", no_engine)
+    monkeypatch.setattr(masks, "aba_engine", no_engine)
+    for frame, decide, item in ((baf, baf_decide, "10"),
+                                (pbaf, baf_decide, "10"),
+                                (aba, aba_decide, "ab")):
+        with pytest.raises(TypeError, match="not a str"):
+            decide(frame, "ver", "co", item)
+        for task in ("cred", "skept"):
+            with pytest.raises(TypeError, match="not a collection"):
+                decide(frame, task, "co", [item])
+
+
 def test_a_bad_query_item_is_refused_before_an_engine_is_built(
         monkeypatch, tmp_path, capsys):
     def no_engine(*args):

@@ -189,7 +189,7 @@ def test_or_table_unions_rows(data):
     n = data.draw(st.integers(0, 8))
     rows = np.array([data.draw(st.integers(0, 2 ** 16 - 1))
                      for _ in range(n)], dtype=np.uint32)
-    table = or_table(n, rows, np.uint32)
+    table = or_table(n, rows)
     for m in (0, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))):
         want = 0
         for i in range(n):

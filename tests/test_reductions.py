@@ -61,11 +61,11 @@ def test_format_dimacs_golden():
     ("p dimacs 1 1\n1 0\n", "expected 'p cnf", 1),
     ("p cnf x 1\n", "expected an integer, got 'x'", 1),
     ("p cnf -1 0\n", "expected a non-negative integer, got -1", 1),
-    ("1 0\n", "missing 'p cnf <n>' header", 1),
+    ("1 0\n", "missing 'p cnf <vars> <clauses>' header", 1),
     ("p cnf 1 1\none 0\n", "expected an integer, got 'one'", 2),
     ("p cnf 1 1\n2 0\n", "out of range", 2),
     ("p cnf 1 1\n0\n", "clause without literals", 2),
-    ("", "missing 'p cnf <n>' header", None),
+    ("", "missing 'p cnf <vars> <clauses>' header", None),
     ("p cnf 1 1\n1\n", "not 0-terminated", None),
     ("p cnf 1 2\n1 0\n", "header promises 2 clauses", None),
     ("p cnf 1 1\n1 0\np cnf 3 1\n", "duplicate header", 3),
