@@ -199,24 +199,23 @@ def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
 
 
 def aba_defends(frame: AbaFramework, defender, assumption, mode="closed-sets",
-                cap=ARGUMENT_CAP, engine=None):
+                cap=ARGUMENT_CAP):
     """Does `defender` counter every attack on `assumption`?
 
     closed-sets mode follows the definition: every closed assumption set
     attacking the assumption must itself be attacked; it reads the closed
-    sets and their ranges from the subset engine, `engine` when given
-    (`frame.engine()` built once for several calls). attacker-closure mode
-    goes through individual attacking arguments instead and counter-attacks
-    the closure of each argument's support; it needs argument enumeration
-    and therefore honours `cap`.
+    sets and their ranges from the subset engine, built for the call.
+    attacker-closure mode goes through individual attacking arguments
+    instead and counter-attacks the closure of each argument's support; it
+    needs argument enumeration and therefore honours `cap`. Both answer one
+    pair; `check_defense_equivalence` compares them on every pair at once.
     """
     i = frame.resolve(assumption)
     if mode not in DEFENSE_MODES:
         raise ValueError(f"unknown defense mode {mode!r}")
     attacked = masks.row_masks(frame._theories([defender])[frame._contrary_ix])[0]
     if mode == "closed-sets":
-        eng = engine if engine is not None else frame.engine()
-        return masks.closed_set_defends(eng, attacked, i)
+        return masks.closed_set_defends(frame.engine(), attacked, i)
     return all(attacked & c for c in attacker_closures(frame, cap)[i])
 
 

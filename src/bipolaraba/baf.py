@@ -238,8 +238,8 @@ def baf_decide(frame, task, semantics, query=None, classic=False):
 
     `frame` may be a Baf or a Pbaf; `classic` takes only a Baf. Skeptical
     acceptance over an empty family is vacuously true. The engine route
-    takes up to ENUM_LIMIT arguments; the classic route, a plain scan,
-    only up to AF_LIMIT.
+    takes as many arguments as its size guard allows; the classic route,
+    a plain scan, only up to AF_LIMIT.
     """
     result = masks.decide(frame, task, semantics, query, classic)
     n = frame.baf.n if isinstance(frame, Pbaf) else frame.n

@@ -28,7 +28,7 @@ from .masks import SEMANTICS, TASKS, decide, mask_text
 from .reductions import (construct_gr_baf, construct_sat_baf,
                          construct_skept_baf, construct_skept_pbaf,
                          parse_dimacs)
-from .textio import decode, directives
+from .textio import decimal, decode, directives
 
 
 def _read(path):
@@ -138,12 +138,14 @@ def run_reduce(args):
 
 # -------------------------------------------------------------------- fuzz
 
-def _positive(text):
-    """A --count of at least 1: a run that checks nothing must not pass."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return int(text)
+def _integer(least=None, what="an integer"):
+    """An argparse type: an integer option read by the file formats' rule,
+    `textio.decimal`, and at least `least`."""
+    def read(text):
+        if not decimal(text) or least is not None and int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return int(text)
+    return read
 
 
 def run_fuzz(args):
@@ -215,6 +217,7 @@ def run_export_dot(args):
 # -------------------------------------------------------------------- main
 
 def build_parser():
+    nonneg = _integer(0, "a non-negative integer")
     parser = argparse.ArgumentParser(
         prog="bipolaraba",
         description="Solver for assumption-based and bipolar argumentation "
@@ -238,7 +241,7 @@ def build_parser():
     p = sub.add_parser("translate", help="ABA file to its argument graph")
     p.add_argument("path")
     p.add_argument("--target", choices=("baf", "pbaf"), default="baf")
-    p.add_argument("--cap", type=int, default=ARGUMENT_CAP,
+    p.add_argument("--cap", type=nonneg, default=ARGUMENT_CAP,
                    help="argument construction cap")
     p.set_defaults(func=run_translate)
 
@@ -252,14 +255,16 @@ def build_parser():
     p.add_argument("--checks", nargs="+",
                    choices=("correspondence", "defense-eq", "constructions"),
                    default=["correspondence", "defense-eq", "constructions"])
-    p.add_argument("--count", type=_positive, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    # a run that checks nothing must not pass
+    p.add_argument("--count", type=_integer(1, "a positive integer"),
+                   default=20)
+    p.add_argument("--seed", type=_integer(), default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=run_fuzz)
 
     p = sub.add_parser("export-dot", help="framework as a DOT graph")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=ARGUMENT_CAP)
+    p.add_argument("--cap", type=nonneg, default=ARGUMENT_CAP)
     p.set_defaults(func=run_export_dot)
     return parser
 

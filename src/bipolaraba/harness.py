@@ -8,7 +8,8 @@ Three families of checks:
                              exhaustively over (set, argument) pairs
   check_construction_lemmas  the four CNF gadgets against brute-force SAT
 
-Oversized cases are recorded as skipped, never silently dropped.
+A case that trips a size guard or the argument cap is recorded as
+skipped, with the guard's message, never silently dropped.
 """
 from __future__ import annotations
 
@@ -19,14 +20,12 @@ from itertools import combinations, compress, product
 
 import numpy as np
 
-from .aba import (AbaFramework, aba_defends, attacker_closures,
-                  enumerate_arguments)
-from .baf import (Baf, Pbaf, baf_closure, baf_defends, baf_extensions,
-                  pbaf_extensions)
+from .aba import AbaFramework, attacker_closures, enumerate_arguments
+from .baf import Baf, Pbaf, baf_closure, baf_extensions, pbaf_extensions
 from .errors import CapExceeded, TooLarge
 from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
                           is_assumption_exhaustive)
-from .masks import ENUM_LIMIT, _unmet, closed_set_gamma, families, mask_sets
+from .masks import _check_size, _unmet, closed_set_gamma, families, mask_sets
 from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_sat_baf, construct_skept_baf,
                          construct_skept_pbaf)
@@ -186,20 +185,8 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
     pushed through the argument mapping.
     """
     rep = CheckReport()
-    try:
-        args = enumerate_arguments(frame, cap)
-    except CapExceeded:
-        rep.skip("correspondence", label, f"argument cap {cap} exceeded")
-        return rep
-    if len(args) > ENUM_LIMIT:
-        rep.skip("correspondence", label,
-                 f"{len(args)} arguments, limit {ENUM_LIMIT}")
-        return rep
-    inst = instantiate_pbaf(frame, cap)
     names = tuple(s for s in ("ad", "co", "gr", "pr", "stb")
                   if semantics in (None, s))
-    d_family = _family_sets(frame, ("co",) + names, frame.assumptions)
-    co_d_empty = not d_family["co"]
 
     def run_side(side, family, compared, forward_list):
         for sem in compared:
@@ -223,6 +210,11 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
                     "" if not bad else f"no graph extension for {_fmt_asm(bad[0])}")
 
     try:
+        # the engine's own guard, before the graph is built and solved
+        _check_size("argument count", len(enumerate_arguments(frame, cap)))
+        inst = instantiate_pbaf(frame, cap)
+        d_family = _family_sets(frame, ("co",) + names, frame.assumptions)
+        co_d_empty = not d_family["co"]
         if "baf" in targets:
             compared = tuple(s for s in names if s != "pr")
             family = _family_sets(inst.baf, ("co", "stb") + compared,
@@ -241,7 +233,7 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
                   != frozenset(compress(frame.assumptions, th[:, i]))]
         rep.add("single-argument-closure", label, not cl_bad,
                 "" if not cl_bad else cl_bad[0])
-    except TooLarge as exc:
+    except (TooLarge, CapExceeded) as exc:
         rep.skip("correspondence", label, str(exc))
     return rep
 
@@ -253,47 +245,42 @@ def check_defense_equivalence(frame, label="",
     """Compare closed-set defense with attacker-closure defense on every
     (set, element) pair. Accepts a Baf, whose engine holds the attackers'
     closures, or an AbaFramework, whose attackers are the arguments that
-    conclude a contrary."""
+    conclude a contrary; for it the engine's own defense, by the closures
+    of the minimal sets deriving a contrary, is compared too. A failure
+    names the first pair where a route disagrees and each route's verdict
+    there."""
     rep = CheckReport()
-    is_aba = isinstance(frame, AbaFramework)
-    n = len(frame.assumptions) if is_aba else frame.n
-    if n > ENUM_LIMIT:
-        rep.skip("defense-equivalence", label,
-                 f"{n} {'assumptions' if is_aba else 'arguments'}, "
-                 f"limit {ENUM_LIMIT}")
+    try:
+        eng = frame.engine()
+        if isinstance(frame, AbaFramework):
+            labels = frame.assumptions
+            routes = {"attacker-closure": attacker_closures(frame, cap),
+                      "minimal-derivers": eng.closures}
+        else:
+            labels, routes = frame.names, {"attacker-closure": eng.closures}
+    except (TooLarge, CapExceeded) as exc:
+        rep.skip("defense-equivalence", label, str(exc))
         return rep
-    if is_aba:
-        try:
-            closures = attacker_closures(frame, cap)
-        except CapExceeded:
-            rep.skip("defense-equivalence", label, f"argument cap {cap} exceeded")
-            return rep
-
-        def mismatch(m, i):
-            s = [a for j, a in enumerate(frame.assumptions) if m >> j & 1]
-            a = frame.assumptions[i]
-            left = aba_defends(frame, s, a, mode="closed-sets", engine=eng)
-            right = aba_defends(frame, s, a, mode="attacker-closure", cap=cap)
-            return (f"S={_fmt_asm(s)} a={a} closed-sets={left} "
-                    f"attacker-closure={right}")
-    else:
-        def mismatch(m, a):
-            ext = [i for i in range(frame.n) if m >> i & 1]
-            return (f"E={ext} a={a} "
-                    f"attacker-closure={baf_defends(frame, ext, a)} "
-                    f"closed-sets={baf_defends(frame, ext, a, mode='closed-sets')}")
-    eng = frame.engine()
     rng = eng.range_of(np.arange(1 << eng.n, dtype=np.uint32))
-    via_attcl = eng.full ^ _unmet(rng, closures if is_aba else eng.closures)
-    via_closed = closed_set_gamma(eng, rng)
-    bad = np.flatnonzero(via_attcl != via_closed)
-    if len(bad) == 0:
+    undefended = closed_set_gamma(eng, rng)
+    undefended ^= eng.full
+    for route, closures in routes.items():
+        # each route's table lives only for its comparison
+        bad = np.flatnonzero(_unmet(rng, closures) != undefended)
+        if len(bad):
+            break
+    else:
         rep.add("defense-equivalence", label, True, f"{len(rng) * eng.n} pairs")
         return rep
     m = int(bad[0])
-    diff = int(via_attcl[m] ^ via_closed[m])
+    unmet = {"closed-sets": int(undefended[m])}
+    unmet.update((r, int(_unmet(rng[m:m + 1], c)[0])) for r, c in routes.items())
+    diff = unmet[route] ^ unmet["closed-sets"]
+    a = (diff & -diff).bit_length() - 1
+    members = ",".join(x for j, x in enumerate(labels) if m >> j & 1)
     rep.add("defense-equivalence", label, False,
-            mismatch(m, (diff & -diff).bit_length() - 1))
+            f"S={{{members}}} a={labels[a]} "
+            + " ".join(f"{r}={not u >> a & 1}" for r, u in unmet.items()))
     return rep
 
 

@@ -245,19 +245,6 @@ def test_defends_closed_sets_agrees_with_attacker_closure():
                     aba_defends(frame, s, a, mode="attacker-closure"), (s, a)
 
 
-
-def test_defends_closed_sets_with_shared_engine():
-    frames = [build_ex22(), build_ex44(), build_motivating()]
-    frames += [random_aba(GenParams(n_assumptions=5, seed=s)) for s in range(10)]
-    for frame in frames:
-        asms = frame.assumptions
-        eng = frame.engine()
-        for m in range(1 << len(asms)):
-            s = [a for i, a in enumerate(asms) if m >> i & 1]
-            for a in asms:
-                assert aba_defends(frame, s, a, engine=eng) == \
-                    aba_defends(frame, s, a), (s, a)
-
 def test_decide(ex22, ex44):
     assert aba_decide(ex22, "cred", "pr", "b") is True
     assert aba_decide(ex22, "skept", "pr", "b") is False

@@ -316,7 +316,7 @@ def test_fuzz_all_checks_by_default(capsys):
     assert "0 failures" in out
 
 
-@pytest.mark.parametrize("count", ["0", "-3", "two"])
+@pytest.mark.parametrize("count", ["0", "-3", "two", "\u0663", "1_0"])
 def test_fuzz_count_below_one_rejected(capsys, count):
     # a run that checks nothing must not exit 0
     with pytest.raises(SystemExit) as exc:
@@ -325,6 +325,41 @@ def test_fuzz_count_below_one_rejected(capsys, count):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--count: expected a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fuzz", "--seed", "1_0"], "--seed: expected an integer, got '1_0'"),
+    (["fuzz", "--seed", "\u0663"], "--seed: expected an integer, got '\u0663'"),
+    (["fuzz", "--seed", "x"], "--seed: expected an integer, got 'x'"),
+    (["translate", "f.aba", "--cap", "1_0"],
+     "--cap: expected a non-negative integer, got '1_0'"),
+    (["translate", "f.aba", "--cap", "\u0663"],
+     "--cap: expected a non-negative integer, got '\u0663'"),
+    (["translate", "f.aba", "--cap", "-5"],
+     "--cap: expected a non-negative integer, got '-5'"),
+    (["export-dot", "f.baf", "--cap", "1_0"],
+     "--cap: expected a non-negative integer, got '1_0'"),
+    (["export-dot", "f.baf", "--cap", "\u0663"],
+     "--cap: expected a non-negative integer, got '\u0663'"),
+    (["export-dot", "f.baf", "--cap", "-5"],
+     "--cap: expected a non-negative integer, got '-5'"),
+])
+def test_integer_options_are_ascii_decimal(capsys, argv, message):
+    # the integer rule of the file formats and --query: an optional sign
+    # and ASCII digits, refused by argparse before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_integer_options_take_signs():
+    args = cli._parser().parse_args(["fuzz", "--seed", "-3", "--count", "+2"])
+    assert (args.seed, args.count) == (-3, 2)
+    args = cli._parser().parse_args(["translate", "f.aba", "--cap", "0"])
+    assert args.cap == 0
 
 
 # -------------------------------------------------------------- export-dot

@@ -1,13 +1,16 @@
+import inspect
 import json
 import time
 
 import pytest
 
-from bipolaraba import (AbaFramework, Baf, CheckReport, Cnf, GenParams,
-                        aba_defends, baf_defends, check_construction_lemmas,
-                        check_correspondence, check_defense_equivalence,
-                        brute_force_sat, random_aba, random_baf, random_cnf,
-                        random_pbaf)
+from bipolaraba import (AbaFramework, Baf, CapExceeded, CheckReport, Cnf,
+                        GenParams, TooLarge, aba_defends, baf_defends,
+                        check_construction_lemmas, check_correspondence,
+                        check_defense_equivalence, brute_force_sat,
+                        enumerate_arguments, instantiate_baf, random_aba,
+                        random_baf, random_cnf, random_pbaf)
+from bipolaraba.aba import attacker_closures
 from bipolaraba import harness, masks
 from bipolaraba.harness import exhaustive_three_var_cnfs
 from conftest import (build_ex22, build_ex32, build_ex38, build_ex44,
@@ -167,20 +170,31 @@ def test_correspondence_semantics_filter():
     assert rep.failures == []
 
 
+def raised(exc_type, call, *args, **kw):
+    """The message of the guard a call trips."""
+    with pytest.raises(exc_type) as exc:
+        call(*args, **kw)
+    return str(exc.value)
+
+
 def test_correspondence_skips_on_cap():
     rep = check_correspondence(build_ex22(), cap=3, label="tiny-cap")
-    assert rep.cases_run == 0
-    assert len(rep.skipped) == 1
-    assert "cap 3 exceeded" in rep.skipped[0].detail
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", raised(CapExceeded, enumerate_arguments, build_ex22(), 3))]
+    assert rep.skipped[0].detail == "argument cap exceeded (cap 3)"
 
 
 def test_correspondence_skips_on_arg_limit():
-    # flat, no rules: one argument per assumption, one past ENUM_LIMIT
+    # flat, no rules: one argument per assumption, one past the engine's
+    # limit, whose message the skip carries
     asm = [f"a{i}" for i in range(25)]
     frame = AbaFramework(asm + ["x"], asm, {a: "x" for a in asm}, [])
     rep = check_correspondence(frame, label="tight")
     assert rep.cases_run == 0
-    assert rep.skipped[0].detail == "25 arguments, limit 24"
+    graph = instantiate_baf(frame).baf
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", raised(TooLarge, graph.engine))]
+    assert rep.skipped[0].detail == "argument count is 25, limit is 24"
 
 
 def test_correspondence_fuzz_batch():
@@ -228,44 +242,81 @@ def test_defense_equivalence_reports_first_mismatch(monkeypatch):
         return out
 
     monkeypatch.setattr(harness, "closed_set_gamma", flipped)
+    # the detail prints the flipped closed-set bit, so its verdict differs
+    # from the one route's, and in an ABA frame from both routes'
     frame = build_ex32()
     rep = check_defense_equivalence(frame, label="ex32")
     via_attcl = baf_defends(frame, [0, 1], 2)
-    via_closed = baf_defends(frame, [0, 1], 2, mode="closed-sets")
+    assert via_attcl == baf_defends(frame, [0, 1], 2, mode="closed-sets")
     assert [(it.status, it.detail) for it in rep.items] == [
-        ("fail", f"E=[0, 1] a=2 attacker-closure={via_attcl} "
-                 f"closed-sets={via_closed}")]
+        ("fail", f"S={{x,y}} a=z closed-sets={not via_attcl} "
+                 f"attacker-closure={via_attcl}")]
     frame = build_ex22()
     rep = check_defense_equivalence(frame, label="ex22")
-    via_closed = aba_defends(frame, ["a", "b"], "c")
     via_attcl = aba_defends(frame, ["a", "b"], "c", mode="attacker-closure")
+    assert via_attcl == aba_defends(frame, ["a", "b"], "c")
     assert [(it.status, it.detail) for it in rep.items] == [
-        ("fail", f"S={{a,b}} a=c closed-sets={via_closed} "
-                 f"attacker-closure={via_attcl}")]
+        ("fail", f"S={{a,b}} a=c closed-sets={not via_attcl} "
+                 f"attacker-closure={via_attcl} "
+                 f"minimal-derivers={via_attcl}")]
+
+
+def test_defense_equivalence_kills_aba_closure_mutant(monkeypatch):
+    # plant a fault in the engine's ABA defense: counter-attack the
+    # minimal sets deriving a contrary, not their closures
+    source = inspect.getsource(masks.aba_engine)
+    old = "np.unique(cl[derivers[(targets >> np.uint32(a)) & 1 == 1]])"
+    new = "np.unique(derivers[(targets >> np.uint32(a)) & 1 == 1].astype(np.uint32))"
+    assert source.count(old) == 1
+    space = dict(vars(masks))
+    exec(source.replace(old, new), space)
+    monkeypatch.setattr(masks, "aba_engine", space["aba_engine"])
+    failures = [it for seed in range(20)
+                for it in check_defense_equivalence(
+                    random_aba(GenParams(seed=seed))).failures]
+    assert failures
+    for it in failures:
+        verdicts = dict(kv.split("=") for kv in it.detail.split()[2:])
+        assert list(verdicts) == ["closed-sets", "attacker-closure",
+                                  "minimal-derivers"]
+        assert (verdicts["closed-sets"] == verdicts["attacker-closure"]
+                != verdicts["minimal-derivers"])
 
 
 def test_defense_equivalence_skips():
-    rep = check_defense_equivalence(random_baf(27, 0), label="big")
-    assert rep.skipped and rep.cases_run == 0
+    # each skip carries the message of the guard the check's work trips
+    big = random_baf(27, 0)
+    rep = check_defense_equivalence(big, label="big")
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", raised(TooLarge, big.engine))]
     wide = random_aba(GenParams(n_atoms=30, n_assumptions=26, seed=0))
     rep = check_defense_equivalence(wide, label="wide")
-    assert rep.skipped and "26 assumptions" in rep.skipped[0].detail
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", raised(TooLarge, wide.engine))]
+    assert rep.skipped[0].detail == "assumption count is 26, limit is 24"
+    frame = build_ex22()
+    rep = check_defense_equivalence(frame, label="tiny-cap", cap=3)
+    assert [(it.status, it.detail) for it in rep.items] == [
+        ("skip", raised(CapExceeded, attacker_closures, frame, 3))]
 
 
 def test_defense_equivalence_size_guard_comes_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(masks, "baf_engine", no_work)
+    # the work after the engine's guard: support closures, forward
+    # chaining and argument construction
+    monkeypatch.setattr(masks, "single_closures", no_work)
+    monkeypatch.setattr(masks, "forward_chain", no_work)
     monkeypatch.setattr(harness, "attacker_closures", no_work)
     ring = Baf(25, [(i, (i + 1) % 25) for i in range(25)], [])
     rep = check_defense_equivalence(ring, label="ring")
     assert [(it.status, it.detail) for it in rep.items] == [
-        ("skip", "25 arguments, limit 24")]
+        ("skip", "argument count is 25, limit is 24")]
     wide = random_aba(GenParams(n_atoms=30, n_assumptions=25, seed=0))
     rep = check_defense_equivalence(wide, label="wide")
     assert [(it.status, it.detail) for it in rep.items] == [
-        ("skip", "25 assumptions, limit 24")]
+        ("skip", "assumption count is 25, limit is 24")]
 
 
 def test_defense_equivalence_ring_of_16_is_quick():
