@@ -19,16 +19,19 @@ high factor empty. `forward_chain`, the one forward-chaining routine,
 fills that table block by block and serves any list of assumption sets.
 `families`, the one route from a frame to extension masks, runs any
 names on one engine and one candidate join, which `stb` shares; `cf`
-alone joins apart. `decide`, the one route from a request to an answer
-for every formalism, takes the frame, resolves the query on it and takes
-the family from `families`. `_subset_or`, the subset-OR
-transform of a uint32 table, serves only closed-set defense; maximality
-runs `_superset_or` over 2^n bits, 64 sets to a word. `_unmet`, one
-unmet-mask test, serves attacker-closure defense and pBAF exhaustiveness.
-`mask_text`, the one rendering routine, writes a family's text and JSON
-from the member text of each distinct mask half, built once and gathered
-for all masks at once; `mask_members` joins the same halves' member
-tuples, one concatenation per mask.
+alone joins apart. Unless `stb` is asked, a pBAF's join takes its
+premise tables and drops most non-exhaustive sets on the way. `decide`,
+the one route from a request to an answer for every formalism, takes the
+frame, resolves the query on it and takes the family from `families`.
+`_subset_or`, the subset-OR transform of a uint32 table, serves only
+closed-set defense; maximality runs `_superset_or` over 2^n bits, 64 sets
+to a word. `_unmet`, the one unmet-mask test, takes a block of sets
+against every needed mask at once and serves attacker-closure defense,
+pBAF exhaustiveness and the join's premise prefilter. `mask_text`, the
+one rendering routine, writes a family's text and JSON from the member
+text of each distinct mask half, built once and gathered for all masks
+at once; `mask_members` joins the same halves' member tuples, one
+concatenation per mask.
 """
 from __future__ import annotations
 
@@ -49,9 +52,10 @@ PAIRWISE_LIMIT = 1 << 16
 # bytes of theory table per forward-chaining block of assumption masks:
 # bounds its memory whatever the number of assumptions and atoms
 CHAIN_BYTES = 1 << 22
-# largest block of (low half, high half) pairs the join tests at once:
-# a few MB of uint32 temporaries whatever the factors' sizes
-JOIN_ENTRIES = 1 << 20
+# largest block of pairs tested at once, (low half, high half) in the
+# join, (needed mask, set) in `_unmet`, (mask, mask) in maximality: 512 KB
+# of uint32 temporaries whatever the sizes
+JOIN_ENTRIES = 1 << 17
 
 
 def or_table(n, rows):
@@ -135,9 +139,11 @@ class SubsetEngine:
         lo, hi = self._halves(masks)
         return self.rng_lo[lo] | self.rng_hi[hi]
 
-    def candidate_masks(self):
-        """Conflict-free closed sets, in ascending order."""
-        return self._join(conflict_free=True, closed=True)
+    def candidate_masks(self, needs=None):
+        """Conflict-free closed sets, in ascending order; given a pBAF's
+        `premise_tables`, only those that `_join` cannot prove
+        non-exhaustive."""
+        return self._join(conflict_free=True, closed=True, needs=needs)
 
     def conflict_free_masks(self):
         return self._join(conflict_free=True, closed=False)
@@ -145,7 +151,7 @@ class SubsetEngine:
     def closed_masks(self):
         return self._join(conflict_free=False, closed=True)
 
-    def _join(self, conflict_free, closed):
+    def _join(self, conflict_free, closed, needs=None):
         """The sets l | h, ascending, of a low half l and a high half h.
 
         Each half passes its own tests: conflict-free, it does not attack
@@ -156,15 +162,20 @@ class SubsetEngine:
         in the other half. With bits = avoid | need and key = half | need,
         a pair passes both iff (bits_l | bits_h) & (key_l ^ key_h) == 0,
         as long as no half's avoid and need meet; such a half is in no
-        set that passes. Halves and pairs are tested in blocks of at most
-        JOIN_ENTRIES, so the temporaries stay small whatever the factors'
-        sizes.
+        set that passes. Given `needs`, the `premise_tables` of a pBAF, a
+        half's closure also takes E(half), the arguments whose every
+        premise it holds: an exhaustive set holds E of each of its halves,
+        so the same tests drop most non-exhaustive sets, and
+        `exhaustive_flags` is left the exact test on the few that pass.
+        Halves and pairs are tested in blocks of at most JOIN_ENTRIES, so
+        the temporaries stay small whatever the factors' sizes.
         """
         lows, lo_bits, lo_key = _factor_halves(
-            self.rng_lo, self.cl_lo, 0, self.low, conflict_free, closed)
+            self.rng_lo, self.cl_lo, 0, self.low, conflict_free, closed,
+            needs)
         highs, hi_bits, hi_key = _factor_halves(
             self.rng_hi, self.cl_hi, self.lo, self.full ^ self.low,
-            conflict_free, closed)
+            conflict_free, closed, needs)
         out = [np.zeros(0, dtype=np.uint32)]
         step = max(1, JOIN_ENTRIES // max(len(lows), 1))
         for s in range(0, len(highs), step):
@@ -202,30 +213,40 @@ class SubsetEngine:
 
 def _unmet(masks, needs):
     """For each mask, the elements a with some mask in needs[a] it does not
-    meet. Each distinct needed mask is tested once, and the bits of every
-    element needing it are OR-ed in with one write."""
+    meet. A block of masks is tested against every distinct needed mask at
+    once, at most JOIN_ENTRIES (needed mask, set) pairs: one AND, one test
+    for zero, one product with the bits of the elements needing each mask
+    and one OR down the needed masks."""
     bits = {}
     for a, need in enumerate(needs):
         for c in need:
             bits[c] = bits.get(c, 0) | 1 << a
+    needed = np.array(list(bits), dtype=np.uint32)[:, None]
+    needers = np.array(list(bits.values()), dtype=np.uint32)[:, None]
     out = np.zeros(len(masks), dtype=np.uint32)
-    buf = np.empty_like(out)
-    miss = np.empty(len(masks), dtype=bool)
-    for c, b in bits.items():
-        np.equal(np.bitwise_and(masks, np.uint32(c), out=buf), 0, out=miss)
-        # as in theory_tables: the 0/1 bytes times the bits
-        np.multiply(miss.view(np.uint8), np.uint32(b), out=buf)
-        out |= buf
+    step = max(1, JOIN_ENTRIES // max(len(bits), 1))
+    # one buffer for every block: a fresh one per block took 15-20% longer
+    # on lists of one to five blocks
+    block = np.empty((len(bits), min(step, len(masks))), dtype=np.uint32)
+    for s in range(0, len(masks), step):
+        m = masks[s:s + step]
+        buf = block[:, :len(m)]
+        np.bitwise_and(needed, m, out=buf)
+        np.equal(buf, 0, out=buf, casting="unsafe")  # 0/1, times the bits
+        buf *= needers
+        np.bitwise_or.reduce(buf, axis=0, out=out[s:s + step])
     return out
 
 
-def _factor_halves(rng, cl, shift, part, conflict_free, closed):
+def _factor_halves(rng, cl, shift, part, conflict_free, closed, needs=None):
     """The halves of one factor (bits `part`, from bit `shift` up) that
     pass their own tests, with their bits and keys (see `_join`)."""
     out = []
     for s in range(0, len(rng), JOIN_ENTRIES):
         r, c = rng[s:s + JOIN_ENTRIES], cl[s:s + JOIN_ENTRIES]
         half = np.arange(s, s + len(r), dtype=np.uint32) << np.uint32(shift)
+        if needs is not None:  # E(half), within the n argument bits
+            c = c | (np.uint32((1 << len(needs)) - 1) ^ _unmet(half, needs))
         avoid = r & ~part if conflict_free else np.zeros_like(half)
         need = c & ~part if closed else np.zeros_like(half)
         keep = (avoid & need) == 0
@@ -354,23 +375,27 @@ def families(frame, names):
     or an AbaFramework, by name. The names are checked before the engine
     is built, once; the candidate join, `gamma` and a Pbaf's exhaustiveness
     filter run at most once, `stb` on the same candidates, and only what
-    the names need comes after."""
+    the names need comes after. Unless `stb` is asked, a Pbaf's premise
+    tables go to the join, which drops most non-exhaustive candidates
+    before the exact filter and `gamma`."""
     for s in names:
         if s not in SEMANTICS:
             raise ValueError(f"unknown semantics {s!r}")
     want = set(names)
     eng = frame.engine()
     out = {}
+    needs = None
+    if hasattr(frame, "premises") and want & {"ad", "co", "gr", "pr"}:
+        needs = eng.premise_tables(frame.premises)
     if want & {"ad", "co", "gr", "pr", "stb"}:
-        cand = eng.candidate_masks()
+        # a pBAF's stable sets are its BAF's: `stb` takes the plain join
+        cand = eng.candidate_masks(None if "stb" in want else needs)
     if "stb" in want:
-        # a pBAF's stable sets are its BAF's: taken before exhaustiveness
         out["stb"] = eng.stable_masks(cand)
     if want & {"ad", "co", "gr", "pr"}:
+        if needs is not None:
+            cand = cand[eng.exhaustive_flags(cand, needs)]
         g = eng.gamma(cand)
-        if hasattr(frame, "premises"):
-            keep = eng.exhaustive_flags(cand, eng.premise_tables(frame.premises))
-            cand, g = cand[keep], g[keep]
         if want & {"ad", "pr"}:
             out["ad"] = cand[eng.admissible_flags(cand, g)]
         if want & {"co", "gr"}:

@@ -496,6 +496,20 @@ def test_solve_output_is_pinned(capsys, name):
     assert solve_transcript(capsys, DATA / name) == want
 
 
+def test_decision_tasks_on_a_pbaf_are_pinned(capsys):
+    # cred, skept and ver on a pBAF: the requests are the transcript's "$"
+    # lines, which the CI step replays on the installed console script
+    want = (DATA / "golden.pbaf.tasks.out").read_text(encoding="utf-8")
+    out = []
+    for line in want.splitlines(keepends=True):
+        if line.startswith("$ "):
+            verb, name, *args = line.split()[1:]
+            code, stdout, _ = run(capsys, verb, str(DATA / name), *args)
+            assert code == 0
+            out += [line, stdout]
+    assert "".join(out) == want
+
+
 # ------------------------------------------------------------- memory bound
 
 def run_capped(limit, *argv):

@@ -7,12 +7,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from bipolaraba import (AbaFramework, Baf, GenParams, Pbaf, aba_closure,
+from bipolaraba import (AbaFramework, Baf, Cnf, GenParams, Pbaf, aba_closure,
                         aba_decide, aba_extensions, attack_range, baf_closure,
-                        baf_decide, baf_extensions, instantiate_pbaf,
-                        pbaf_extensions, random_aba, random_baf, random_pbaf)
+                        baf_decide, baf_extensions, construct_skept_pbaf,
+                        instantiate_pbaf, pbaf_extensions, random_aba,
+                        random_baf, random_pbaf)
 from bipolaraba import (NotAnAssumption, cli, format_aba, format_baf,
                         format_pbaf, masks)
 from bipolaraba.aba import attacker_closures
@@ -103,9 +104,13 @@ def test_unmet_matches_the_definition(seed):
     pool = [0] + [rnd.randrange(1, 1 << n) for _ in range(5) if n]
     needs = [rnd.choices(pool, k=rnd.randint(0, 3)) for _ in range(n)]
     sets = [0, (1 << n) - 1] + [rnd.randrange(1 << n) for _ in range(200)]
-    got = masks._unmet(np.array(sets, dtype=np.uint32), needs).tolist()
-    assert got == [sum(1 << a for a in range(n)
-                       if not all(m & c for c in needs[a])) for m in sets]
+    want = [sum(1 << a for a in range(n) if not all(m & c for c in needs[a]))
+            for m in sets]
+    for join_entries in (1, masks.JOIN_ENTRIES):  # 1: one set per block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(masks, "JOIN_ENTRIES", join_entries)
+            got = masks._unmet(np.array(sets, dtype=np.uint32), needs)
+        assert got.tolist() == want, join_entries
 
 
 def gamma_of_every_set(frame):
@@ -493,9 +498,9 @@ def test_families_join_once_for_the_candidates_and_once_for_cf(monkeypatch):
     joins = []
     join = masks.SubsetEngine._join
 
-    def counted(eng, conflict_free, closed):
+    def counted(eng, conflict_free, closed, needs=None):
         joins.append((conflict_free, closed))
-        return join(eng, conflict_free, closed)
+        return join(eng, conflict_free, closed, needs)
 
     monkeypatch.setattr(masks.SubsetEngine, "_join", counted)
     aba = random_aba(GenParams(seed=0))
@@ -503,3 +508,64 @@ def test_families_join_once_for_the_candidates_and_once_for_cf(monkeypatch):
         joins.clear()
         masks.families(frame, masks.SEMANTICS)
         assert sorted(joins) == [(True, False), (True, True)]
+
+
+def block_pbaf(rng):
+    """`block_baf` of 4 blocks of 6, each argument with one or two
+    premises, ids of arguments of its own block."""
+    frame = block_baf(rng, 4, 6)
+    premises = [frozenset(rng.sample(range(i - i % 6, i - i % 6 + 6),
+                                     rng.randint(1, 2))) for i in range(24)]
+    return Pbaf(frame, premises, 24)
+
+
+def skept_pbaf(rng):
+    """The skept-pbaf gadget of 4 variables and 4 clauses: 24 arguments,
+    the d_i and t with empty premise sets."""
+    clauses = [tuple(v if rng.random() < 0.5 else -v
+                     for v in rng.sample(range(1, 5), rng.randint(1, 3)))
+               for _ in range(4)]
+    return construct_skept_pbaf(Cnf(4, clauses))
+
+
+@st.composite
+def pbafs(draw):
+    """A random pBAF of n in SIZES, premise bounds 1 to 40 and up to half
+    its premise sets empty; the premise graph of a random ABA framework,
+    up to 24 arguments; or one of the two 24-argument shapes above."""
+    seed = draw(st.integers(0, 10 ** 6))
+    kind = draw(st.sampled_from(["random", "instantiated", "block", "skept"]))
+    if kind == "random":
+        return random_pbaf(draw(st.sampled_from(SIZES)), seed,
+                           premise_bound=draw(st.integers(1, 40)),
+                           p_empty=draw(st.sampled_from([0.0, 0.25, 0.5])),
+                           p_att=draw(st.sampled_from([0.03, 0.12, 0.3])))
+    if kind == "instantiated":
+        inst = instantiate_pbaf(random_aba(GenParams(
+            n_atoms=6, n_assumptions=4, n_rules=7, seed=seed)))
+        assume(inst.baf.n <= masks.ENUM_LIMIT)
+        return inst.pbaf
+    return (block_pbaf if kind == "block" else skept_pbaf)(random.Random(seed))
+
+
+@settings(deadline=None, max_examples=40)
+@given(pbafs())
+def test_the_premise_prefilter_keeps_every_exhaustive_candidate(frame):
+    eng = frame.engine()
+    needs = eng.premise_tables(frame.premises)
+    plain = eng.candidate_masks()
+    pruned = eng.candidate_masks(needs)
+    exact = plain[eng.exhaustive_flags(plain, needs)]
+    assert set(exact.tolist()) <= set(pruned.tolist())
+    kept = pruned[eng.exhaustive_flags(pruned, needs)]
+    assert kept.tolist() == exact.tolist()
+    # the join keeps exactly the sets that hold E of both their halves,
+    # E(m) the arguments whose every premise m holds
+    lacks = [~plain & (eng.full ^ masks._unmet(half, needs))
+             for half in (plain & eng.low, plain & ~eng.low)]
+    assert pruned.tolist() == plain[(lacks[0] | lacks[1]) == 0].tolist()
+    # asking stb alongside takes the plain join
+    unpruned = masks.families(frame, masks.SEMANTICS)
+    for s in ("ad", "co", "gr", "pr"):
+        assert (masks.families(frame, (s,))[s].tolist()
+                == unpruned[s].tolist()), s
