@@ -55,7 +55,8 @@ def random_aba(params: GenParams) -> AbaFramework:
     rules = []
     for _ in range(params.n_rules):
         head = rng.choice(atoms)
-        body = tuple(rng.sample(atoms, rng.randint(0, params.max_body)))
+        width = rng.randint(0, params.max_body)
+        body = tuple(rng.sample(atoms, min(width, len(atoms))))
         rules.append((head, body))
     return AbaFramework(atoms, assumptions, contrary, rules)
 
@@ -77,16 +78,19 @@ def random_pbaf(n, seed, premise_bound=6, p_empty=0.25, **kw) -> Pbaf:
             premises.append(frozenset())
         else:
             size = rng.randint(1, max(1, premise_bound // 2))
-            premises.append(frozenset(rng.sample(range(premise_bound), size)))
+            premises.append(frozenset(rng.sample(range(premise_bound),
+                                                 min(size, premise_bound))))
     return Pbaf(frame, premises, premise_bound)
 
 
 def random_cnf(seed, n_vars=4, max_clauses=3) -> Cnf:
+    if n_vars < 1:
+        raise ValueError(f"n_vars must be at least 1, got {n_vars}")
     rng = random.Random(seed)
     clauses = []
     for _ in range(rng.randint(1, max_clauses)):
         width = rng.randint(1, 3)
-        chosen = rng.sample(range(1, n_vars + 1), width)
+        chosen = rng.sample(range(1, n_vars + 1), min(width, n_vars))
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
     return Cnf(n_vars, clauses)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .aba import ARGUMENT_CAP, AbaFramework, enumerate_arguments
 from .baf import Baf, Pbaf
 
@@ -34,10 +36,8 @@ def _build(frame: AbaFramework, cap):
     args = enumerate_arguments(frame, cap)
     names = [str(a) for a in args]
     th = frame._theories([a.support for a in args])
-    base_index = {}
-    for i, a in enumerate(args):
-        if len(a.support) == 1 and a.conclusion in a.support:
-            base_index[a.conclusion] = i
+    # assumption i's base argument ({a_i}, a_i) is argument i
+    base_index = {a: i for i, a in enumerate(frame.assumptions)}
     # the arguments each atom attacks: those whose support holds an
     # assumption with that contrary, ascending
     attacked = {}
@@ -46,11 +46,10 @@ def _build(frame: AbaFramework, cap):
             attacked.setdefault(p, []).append(y)
     att = [(x, y) for x, a in enumerate(args)
            for y in attacked.get(a.conclusion, ())]
-    sup = []
-    for x in range(len(args)):
-        for i, a in enumerate(frame.assumptions):
-            if th[i, x] and base_index[a] != x:
-                sup.append((x, base_index[a]))
+    # argument x supports the base argument of each other assumption its
+    # support derives
+    k = len(frame.assumptions)
+    sup = [(x, i) for x, i in np.argwhere(th[:k].T).tolist() if x != i]
     return args, names, att, sup, base_index
 
 

@@ -82,12 +82,32 @@ def brute_force_sat(cnf: Cnf):
 
 # ------------------------------------------------------------ constructions
 
-def _lit_name(lit):
-    return f"x{lit}" if lit > 0 else f"nx{-lit}"
+def _gadget(cnf: Cnf, target, pairs=(("x", "nx"),), after=(), tail=(),
+            var_att=(), att=(), sup=()):
+    """The frame of a gadget declared by argument names.
 
-
-def _copy_name(lit):
-    return f"xp{lit}" if lit > 0 else f"nxp{-lit}"
+    Per variable i, each (positive, negative) prefix pair of `pairs`
+    names two literal arguments, all of which attack each other, and the
+    prefixes of `after` name more; `var_att` adds attacks as prefix
+    pairs. Clause j gets an argument c_j: each of its literals, under
+    every pair, attacks c_j, and c_j attacks `target`. Arguments run
+    literals, clauses, `after` arguments, `tail`; attacks run per
+    variable, per clause, `att`. `att` and `sup` pair full names.
+    """
+    variables, clauses = range(1, cnf.n_vars + 1), cnf.clauses
+    lits = [p for pair in pairs for p in pair]
+    names = [f"{p}{i}" for i in variables for p in lits]
+    names += [f"c{j}" for j in range(1, len(clauses) + 1)]
+    names += [f"{p}{i}" for i in variables for p in after] + list(tail)
+    per_var = [(s, t) for s in lits for t in lits if s != t] + list(var_att)
+    edges = [(f"{s}{i}", f"{t}{i}") for i in variables for s, t in per_var]
+    for j, clause in enumerate(clauses, 1):
+        edges += [(f"{pair[lit < 0]}{abs(lit)}", f"c{j}")
+                  for lit in clause for pair in pairs]
+        edges.append((f"c{j}", target))
+    ix = {nm: k for k, nm in enumerate(names)}
+    return Baf(len(names), [(ix[s], ix[t]) for s, t in edges + list(att)],
+               [(ix[s], ix[t]) for s, t in sup], names)
 
 
 def construct_sat_baf(cnf: Cnf):
@@ -96,19 +116,7 @@ def construct_sat_baf(cnf: Cnf):
     Complete extensions exist exactly when the formula is satisfiable, and
     every complete extension contains top and phi.
     """
-    n, clauses = cnf.n_vars, cnf.clauses
-    names = [f"{p}{i}" for i in range(1, n + 1) for p in ("x", "nx")]
-    names += [f"c{j}" for j in range(1, len(clauses) + 1)]
-    names += ["top", "phi"]
-    ix = {nm: k for k, nm in enumerate(names)}
-    att = []
-    for i in range(1, n + 1):
-        att += [(ix[f"x{i}"], ix[f"nx{i}"]), (ix[f"nx{i}"], ix[f"x{i}"])]
-    for j, clause in enumerate(clauses, 1):
-        for lit in clause:
-            att.append((ix[_lit_name(lit)], ix[f"c{j}"]))
-        att.append((ix[f"c{j}"], ix["phi"]))
-    return Baf(len(names), att, [(ix["top"], ix["phi"])], names)
+    return _gadget(cnf, "phi", tail=["top", "phi"], sup=[("top", "phi")])
 
 
 def construct_gr_baf(cnf: Cnf):
@@ -118,21 +126,8 @@ def construct_gr_baf(cnf: Cnf):
     defended and the grounded member collapses to {top, phi} when the
     formula is satisfiable and to the empty set when it is not.
     """
-    n, clauses = cnf.n_vars, cnf.clauses
-    names = [f"{p}{i}" for i in range(1, n + 1) for p in ("x", "nx", "xp", "nxp")]
-    names += [f"c{j}" for j in range(1, len(clauses) + 1)]
-    names += ["top", "phi"]
-    ix = {nm: k for k, nm in enumerate(names)}
-    att = []
-    for i in range(1, n + 1):
-        quad = [ix[f"{p}{i}"] for p in ("x", "nx", "xp", "nxp")]
-        att += [(s, t) for s in quad for t in quad if s != t]
-    for j, clause in enumerate(clauses, 1):
-        for lit in clause:
-            att.append((ix[_lit_name(lit)], ix[f"c{j}"]))
-            att.append((ix[_copy_name(lit)], ix[f"c{j}"]))
-        att.append((ix[f"c{j}"], ix["phi"]))
-    return Baf(len(names), att, [(ix["top"], ix["phi"])], names)
+    return _gadget(cnf, "phi", pairs=[("x", "nx"), ("xp", "nxp")],
+                   tail=["top", "phi"], sup=[("top", "phi")])
 
 
 def construct_skept_baf(cnf: Cnf):
@@ -141,25 +136,11 @@ def construct_skept_baf(cnf: Cnf):
     Complete extensions correspond one-to-one to total assignments; psi-bar
     sits in all of them exactly when the formula is unsatisfiable.
     """
-    n, clauses = cnf.n_vars, cnf.clauses
-    names = [f"{p}{i}" for i in range(1, n + 1) for p in ("x", "nx")]
-    names += [f"c{j}" for j in range(1, len(clauses) + 1)]
-    names += [f"{p}{i}" for i in range(1, n + 1) for p in ("top", "bot", "d")]
-    names += ["npsi", "psi"]
-    ix = {nm: k for k, nm in enumerate(names)}
-    att = []
-    sup = []
-    for i in range(1, n + 1):
-        att += [(ix[f"x{i}"], ix[f"nx{i}"]), (ix[f"nx{i}"], ix[f"x{i}"]),
-                (ix[f"x{i}"], ix[f"bot{i}"]), (ix[f"nx{i}"], ix[f"bot{i}"]),
-                (ix[f"bot{i}"], ix[f"bot{i}"]), (ix[f"bot{i}"], ix[f"d{i}"])]
-        sup.append((ix[f"top{i}"], ix[f"d{i}"]))
-    for j, clause in enumerate(clauses, 1):
-        for lit in clause:
-            att.append((ix[_lit_name(lit)], ix[f"c{j}"]))
-        att.append((ix[f"c{j}"], ix["psi"]))
-    att.append((ix["psi"], ix["npsi"]))
-    return Baf(len(names), att, sup, names)
+    return _gadget(
+        cnf, "psi", after=["top", "bot", "d"], tail=["npsi", "psi"],
+        var_att=[("x", "bot"), ("nx", "bot"), ("bot", "bot"), ("bot", "d")],
+        att=[("psi", "npsi")],
+        sup=[(f"top{i}", f"d{i}") for i in range(1, cnf.n_vars + 1)])
 
 
 def construct_skept_pbaf(cnf: Cnf):
@@ -169,26 +150,12 @@ def construct_skept_pbaf(cnf: Cnf):
     them, defend them, and thereby fix a total assignment; psi-bar is
     skeptically admissible exactly when the formula is unsatisfiable.
     """
-    n, clauses = cnf.n_vars, cnf.clauses
-    names = [f"{p}{i}" for i in range(1, n + 1) for p in ("x", "nx")]
-    names += [f"c{j}" for j in range(1, len(clauses) + 1)]
-    names += [f"{p}{i}" for i in range(1, n + 1) for p in ("bot", "d")]
-    names += ["psi", "npsi", "t", "bott"]
-    ix = {nm: k for k, nm in enumerate(names)}
-    att = []
-    for i in range(1, n + 1):
-        att += [(ix[f"x{i}"], ix[f"nx{i}"]), (ix[f"nx{i}"], ix[f"x{i}"]),
-                (ix[f"x{i}"], ix[f"bot{i}"]), (ix[f"nx{i}"], ix[f"bot{i}"]),
-                (ix[f"bot{i}"], ix[f"d{i}"])]
-    for j, clause in enumerate(clauses, 1):
-        for lit in clause:
-            att.append((ix[_lit_name(lit)], ix[f"c{j}"]))
-        att.append((ix[f"c{j}"], ix["psi"]))
-    att += [(ix["psi"], ix["npsi"]), (ix["bott"], ix["t"]),
-            (ix["psi"], ix["bott"]), (ix["npsi"], ix["bott"])]
-    frame = Baf(len(names), att, [], names)
-    premises = [frozenset([k]) for k in range(len(names))]
-    for i in range(1, n + 1):
-        premises[ix[f"d{i}"]] = frozenset()
-    premises[ix["t"]] = frozenset()
-    return Pbaf(frame, premises, len(names))
+    frame = _gadget(
+        cnf, "psi", after=["bot", "d"], tail=["psi", "npsi", "t", "bott"],
+        var_att=[("x", "bot"), ("nx", "bot"), ("bot", "d")],
+        att=[("psi", "npsi"), ("bott", "t"), ("psi", "bott"),
+             ("npsi", "bott")])
+    empty = {f"d{i}" for i in range(1, cnf.n_vars + 1)} | {"t"}
+    premises = [frozenset() if nm in empty else frozenset([k])
+                for k, nm in enumerate(frame.names)]
+    return Pbaf(frame, premises, frame.n)

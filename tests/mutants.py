@@ -1,17 +1,21 @@
 """Planted faults that the fuzz checks must catch.
 
 Each mutant replaces one text, which must occur exactly once, in one
-module under src/, and names a CLI request that must then exit nonzero.
-Every mutant is applied to its own copy of src/ in a temporary directory
-outside the checkout, and the request runs against that copy. The
-unmutated copy must pass every request first, so a mutant counts as
+module under src/, and names a request that must then exit nonzero:
+either a CLI request (a list of arguments) or a Tier-1 test node (a
+string such as "tests/test_reductions.py::test_skept_baf_shape"), which
+pytest runs from the temporary directory, without its cache and with the
+configured `pythonpath` emptied, so the checkout's src/ does not shadow
+the copy. Every mutant is applied to its own copy of src/ in a temporary
+directory outside the checkout, and the request runs against that copy.
+The unmutated copy must pass every request first, so a mutant counts as
 caught only by a failing check.
 
     python tests/mutants.py
 
 Exits 1 if a request fails on the unmutated copy, a mutant's text is not
 found exactly once, or a mutant survives its request. This file is not
-collected by pytest: it runs the CLI once per mutant and takes seconds.
+collected by pytest: it runs one request per mutant and takes seconds.
 """
 from __future__ import annotations
 
@@ -22,7 +26,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+PREFILTER_TEST = ("tests/test_masks.py::"
+                  "test_the_premise_prefilter_keeps_every_exhaustive_candidate")
 
 MUTANTS = [
     # ABA defense counter-attacks the minimal sets deriving a contrary,
@@ -47,17 +55,55 @@ MUTANTS = [
      "_unmet(half, needs)",
      "_unmet(half >> np.uint32(shift), needs)",
      ["fuzz", "--checks", "constructions", "--count", "50"]),
+    # the prefilter drops arguments with empty premises from E(half), so
+    # the join prunes less; no output changes
+    ("bipolaraba/masks.py",
+     "np.uint32((1 << len(needs)) - 1)",
+     "np.uint32(sum(1 << a for a, need in enumerate(needs) if need))",
+     PREFILTER_TEST),
+    # the prefilter keeps E(half) to the half's own factor, so the join
+    # prunes less; no output changes
+    ("bipolaraba/masks.py",
+     "_unmet(half, needs))",
+     "_unmet(half, needs)) & part",
+     PREFILTER_TEST),
+    # skept-pbaf's t is not forced: with every assignment failing, the
+    # empty set stays admissible and npsi is not skeptically accepted
+    ("bipolaraba/reductions.py",
+     '} | {"t"}',
+     "}",
+     "tests/test_acceptance.py::test_criterion_8_construction_lemmas"),
+    # skept-baf without the bot_i self-attack; redundant for the co
+    # lemmas, so only the gadget's shape test sees it
+    ("bipolaraba/reductions.py",
+     '("bot", "bot"), ',
+     "",
+     "tests/test_reductions.py::test_skept_baf_shape"),
+    # sat-baf's clauses attack top instead of phi
+    ("bipolaraba/reductions.py",
+     'return _gadget(cnf, "phi", tail',
+     'return _gadget(cnf, "top", tail',
+     ["fuzz", "--checks", "constructions", "--count", "50"]),
 ]
 
 
-def run(src, argv):
-    """The exit code of the CLI request over the package in `src`."""
+def run(src, request):
+    """The exit code of the request over the package in `src`."""
     env = dict(os.environ, PYTHONPATH=str(src))
     # -B: no bytecode, so a mutant of a module's own length is not served
     # from the bytecode of the text it replaced
-    argv = [sys.executable, "-B", "-m", "bipolaraba.cli", *argv]
-    return subprocess.run(argv, cwd=src, env=env, stdout=subprocess.DEVNULL,
+    if isinstance(request, str):
+        argv = ["pytest", "-q", "-p", "no:cacheprovider", "-o", "pythonpath=",
+                str(ROOT / request)]
+    else:
+        argv = ["bipolaraba.cli", *request]
+    return subprocess.run([sys.executable, "-B", "-m", *argv], cwd=src.parent,
+                          env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
+
+
+def show(request):
+    return request if isinstance(request, str) else " ".join(request)
 
 
 def main():
@@ -65,11 +111,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-        for argv in {tuple(m[3]) for m in MUTANTS}:
-            if run(src, argv) != 0:
-                print(f"FAIL unmutated: {' '.join(argv)} exits nonzero")
+        requests = {show(m[3]): m[3] for m in MUTANTS}
+        for name, request in requests.items():
+            if run(src, request) != 0:
+                print(f"FAIL unmutated: {name} exits nonzero")
                 bad += 1
-        for path, old, new, argv in MUTANTS:
+        for path, old, new, request in MUTANTS:
             target = src / path
             text = target.read_text()
             if text.count(old) != 1:
@@ -77,10 +124,11 @@ def main():
                 bad += 1
                 continue
             target.write_text(text.replace(old, new))
-            code = run(src, argv)
+            code = run(src, request)
             target.write_text(text)
             status = "killed" if code != 0 else "SURVIVED"
-            print(f"{status:<9}{path}: {new}  ({' '.join(argv)}, exit {code})")
+            print(f"{status:<9}{path}: {old!r} -> {new!r}  "
+                  f"({show(request)}, exit {code})")
             bad += code == 0
     return 1 if bad else 0
 

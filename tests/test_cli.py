@@ -496,10 +496,10 @@ def test_solve_output_is_pinned(capsys, name):
     assert solve_transcript(capsys, DATA / name) == want
 
 
-def test_decision_tasks_on_a_pbaf_are_pinned(capsys):
-    # cred, skept and ver on a pBAF: the requests are the transcript's "$"
-    # lines, which the CI step replays on the installed console script
-    want = (DATA / "golden.pbaf.tasks.out").read_text(encoding="utf-8")
+def replay(capsys, transcript):
+    """Run the "$" lines of a transcript in tests/data, each followed by
+    its output; the CI step replays them on the installed console script."""
+    want = (DATA / transcript).read_text(encoding="utf-8")
     out = []
     for line in want.splitlines(keepends=True):
         if line.startswith("$ "):
@@ -508,6 +508,16 @@ def test_decision_tasks_on_a_pbaf_are_pinned(capsys):
             assert code == 0
             out += [line, stdout]
     assert "".join(out) == want
+
+
+def test_decision_tasks_on_a_pbaf_are_pinned(capsys):
+    # cred, skept and ver on a pBAF, as text and as JSON
+    replay(capsys, "golden.pbaf.tasks.out")
+
+
+def test_reduce_output_is_pinned(capsys):
+    # every construction on a satisfiable and an unsatisfiable formula
+    replay(capsys, "reduce.out")
 
 
 # ------------------------------------------------------------- memory bound

@@ -73,6 +73,35 @@ def test_random_cnf_shape():
         assert cnf == random_cnf(seed)
 
 
+@pytest.mark.parametrize("n_vars", [1, 2])
+def test_random_cnf_over_fewer_variables_than_a_clause_is_wide(n_vars):
+    for seed in range(200):
+        cnf = random_cnf(seed, n_vars=n_vars)
+        assert cnf.n_vars == n_vars
+        assert 1 <= len(cnf.clauses) <= 3
+        for clause in cnf.clauses:
+            assert len({abs(lit) for lit in clause}) == len(clause) <= n_vars
+
+
+def test_random_cnf_refuses_no_variables():
+    with pytest.raises(ValueError, match="n_vars"):
+        random_cnf(0, n_vars=0)
+
+
+def test_random_aba_over_one_atom():
+    for seed in range(200):
+        frame = random_aba(GenParams(n_atoms=1, n_assumptions=1, seed=seed))
+        assert frame.atoms == frame.assumptions == ["s1"]
+        assert all(body in ((), ("s1",)) for _, body in frame.rules)
+
+
+def test_random_pbaf_without_premise_ids():
+    for seed in range(200):
+        pframe = random_pbaf(4, seed, premise_bound=0)
+        assert pframe.premises == [frozenset()] * 4
+        assert pframe.baf == random_baf(4, seed)
+
+
 def test_exhaustive_three_var_cnfs():
     corpus = exhaustive_three_var_cnfs()
     assert len(corpus) == 93          # 1 + 8 + 28 + 56 clause subsets

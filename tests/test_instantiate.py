@@ -1,8 +1,8 @@
 import pytest
 
-from bipolaraba import (CapExceeded, NotAnAssumption, arguments_for,
-                        assumptions_of, baf_extensions, describe_arguments,
-                        instantiate_baf, instantiate_pbaf,
+from bipolaraba import (CapExceeded, NotAnAssumption, aba_closure,
+                        arguments_for, assumptions_of, baf_extensions,
+                        describe_arguments, instantiate_baf, instantiate_pbaf,
                         is_assumption_exhaustive, pbaf_extensions)
 from bipolaraba.harness import GenParams, random_aba
 from conftest import build_ex22, build_ex44
@@ -159,3 +159,16 @@ def test_attacks_follow_the_definition_in_pair_order(seed):
     assert inst.baf.att == [
         (x, y) for x, ax in enumerate(args) for y, ay in enumerate(args)
         if any(frame.contrary[a] == ax.conclusion for a in ay.support)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_supports_follow_the_definition_in_pair_order(seed):
+    # x supports y iff y is the base argument ({a}, a) of an assumption a
+    # that x's support derives, x itself excepted
+    frame = random_aba(GenParams(seed=seed))
+    inst = instantiate_baf(frame)
+    args = inst.arguments
+    assert inst.baf.sup == [
+        (x, y) for x, ax in enumerate(args) for y, ay in enumerate(args)
+        if x != y and ay.support == {ay.conclusion}
+        and ay.conclusion in aba_closure(frame, ax.support)]

@@ -1,10 +1,14 @@
+import hashlib
+
 import pytest
 
-from bipolaraba import (Cnf, EmptyClause, ParseError, TooLarge, baf_decide,
-                        baf_extensions, brute_force_sat, construct_gr_baf,
-                        construct_sat_baf, construct_skept_baf,
-                        construct_skept_pbaf, format_dimacs, parse_dimacs,
+from bipolaraba import (Cnf, EmptyClause, ParseError, Pbaf, TooLarge,
+                        baf_decide, baf_extensions, brute_force_sat,
+                        construct_gr_baf, construct_sat_baf,
+                        construct_skept_baf, construct_skept_pbaf, format_baf,
+                        format_dimacs, format_pbaf, parse_dimacs,
                         pbaf_extensions)
+from bipolaraba.harness import exhaustive_three_var_cnfs, random_cnf
 
 FIG = Cnf(3, [(1, 2), (-1, 3), (-1, -3)])          # satisfiable
 UNSAT1 = Cnf(1, [(1,), (-1,)])                     # smallest contradiction
@@ -211,3 +215,33 @@ def test_constructions_are_deterministic():
     for build in (construct_sat_baf, construct_gr_baf, construct_skept_baf):
         assert build(FIG) == build(FIG)
     assert construct_skept_pbaf(FIG) == construct_skept_pbaf(FIG)
+
+
+# sha256 of each construction's formatted gadgets over the corpus below,
+# which pins every name, edge and premise set in order, so `reduce` output
+# stays byte-identical
+GADGET_DIGESTS = {
+    construct_sat_baf:
+        "901785af37feb58222a4013437500096cca42fcb7b32c4035567f498b5119f0d",
+    construct_gr_baf:
+        "7738a6346497e4024035c214e4ff4cf8c90ff4fd7577ce2cf95ff7cc73338ae9",
+    construct_skept_baf:
+        "7e9a085cf056b8c052a948532f8fa5e23dd31922cd69c02e84abd9949abcfda7",
+    construct_skept_pbaf:
+        "1ebc1525d4c0425b038ce2c62436637ba5112fa49966bc3ff7891f085c23cafe",
+}
+
+
+@pytest.mark.parametrize("build", list(GADGET_DIGESTS),
+                         ids=lambda build: build.__name__)
+def test_gadget_text_is_pinned(build):
+    corpus = exhaustive_three_var_cnfs()
+    corpus += [random_cnf(seed) for seed in range(200)]
+    corpus += [random_cnf(seed, 3, max_clauses=6) for seed in range(100)]
+    corpus += [Cnf(0, []), Cnf(2, []), UNSAT1, Cnf(2, [(1, 1, -2)])]
+    digest = hashlib.sha256()
+    for cnf in corpus:
+        built = build(cnf)
+        fmt = format_pbaf if isinstance(built, Pbaf) else format_baf
+        digest.update(fmt(built).encode())
+    assert digest.hexdigest() == GADGET_DIGESTS[build]
