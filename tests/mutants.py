@@ -1,4 +1,4 @@
-"""Planted faults that the fuzz checks must catch.
+"""Planted faults that the checks must catch.
 
 Each mutant replaces one text, which must occur exactly once, in one
 module under src/, and names a request that must then exit nonzero:
@@ -67,8 +67,9 @@ MUTANTS = [
      "_unmet(half, needs))",
      "_unmet(half, needs)) & part",
      PREFILTER_TEST),
-    # skept-pbaf's t is not forced: with every assignment failing, the
-    # empty set stays admissible and npsi is not skeptically accepted
+    # skept-pbaf's t is not forced, so no admissible set must defend it
+    # with npsi, and npsi is not skeptically accepted on an unsatisfiable
+    # formula; the fuzz seeds 0-49 draw none
     ("bipolaraba/reductions.py",
      '} | {"t"}',
      "}",
