@@ -47,6 +47,9 @@ class GenParams:
 def random_aba(params: GenParams) -> AbaFramework:
     """Seeded random framework; heads range over all atoms, so the result
     is generally not flat."""
+    if params.n_atoms < 1 and params.n_rules > 0:
+        raise ValueError(f"n_atoms must be at least 1 to draw rules, "
+                         f"got {params.n_atoms}")
     rng = random.Random(params.seed)
     atoms = [f"s{i}" for i in range(1, params.n_atoms + 1)]
     k = min(params.n_assumptions, params.n_atoms)
@@ -62,6 +65,8 @@ def random_aba(params: GenParams) -> AbaFramework:
 
 
 def random_baf(n, seed, p_att=0.25, p_sup=0.15) -> Baf:
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     rng = random.Random(seed)
     att = [(i, j) for i in range(n) for j in range(n) if rng.random() < p_att]
     sup = [(i, j) for i in range(n) for j in range(n)
@@ -70,6 +75,9 @@ def random_baf(n, seed, p_att=0.25, p_sup=0.15) -> Baf:
 
 
 def random_pbaf(n, seed, premise_bound=6, p_empty=0.25, **kw) -> Pbaf:
+    if premise_bound < 0:
+        raise ValueError(
+            f"premise_bound must be at least 0, got {premise_bound}")
     rng = random.Random(seed ^ 0x5EED)
     frame = random_baf(n, seed, **kw)
     premises = []

@@ -20,7 +20,10 @@ fills that table block by block and serves any list of assumption sets.
 `families`, the one route from a frame to extension masks, runs any
 names on one engine and one candidate join, which `stb` shares; `cf`
 alone joins apart. Unless `stb` is asked, a pBAF's join takes its
-premise tables and drops most non-exhaustive sets on the way. `decide`,
+premise tables and drops most non-exhaustive sets on the way. When every
+name is `co`, `gr` or `stb`, the join also takes the grounded core S*
+(`grounded_core`) and its range as fixed bits: each half holds S*'s bits
+of its factor and none of its range's. `decide`,
 the one route from a request to an answer for every formalism, takes the
 frame, resolves the query on it and takes the family from `families`.
 `_subset_or`, the subset-OR transform of a uint32 table, serves only
@@ -139,11 +142,13 @@ class SubsetEngine:
         lo, hi = self._halves(masks)
         return self.rng_lo[lo] | self.rng_hi[hi]
 
-    def candidate_masks(self, needs=None):
+    def candidate_masks(self, needs=None, fixed=None):
         """Conflict-free closed sets, in ascending order; given a pBAF's
         `premise_tables`, only those that `_join` cannot prove
-        non-exhaustive."""
-        return self._join(conflict_free=True, closed=True, needs=needs)
+        non-exhaustive; given fixed = (held, barred), only those holding
+        every bit of held and no other bit of barred."""
+        return self._join(conflict_free=True, closed=True, needs=needs,
+                          fixed=fixed)
 
     def conflict_free_masks(self):
         return self._join(conflict_free=True, closed=False)
@@ -151,7 +156,7 @@ class SubsetEngine:
     def closed_masks(self):
         return self._join(conflict_free=False, closed=True)
 
-    def _join(self, conflict_free, closed, needs=None):
+    def _join(self, conflict_free, closed, needs=None, fixed=None):
         """The sets l | h, ascending, of a low half l and a high half h.
 
         Each half passes its own tests: conflict-free, it does not attack
@@ -167,15 +172,18 @@ class SubsetEngine:
         premise it holds: an exhaustive set holds E of each of its halves,
         so the same tests drop most non-exhaustive sets, and
         `exhaustive_flags` is left the exact test on the few that pass.
+        Given `fixed`, (S*, rng(S*)) of `grounded_core` when only `co`,
+        `gr` or `stb` is asked, a half also holds S*'s bits of its factor
+        and none of rng(S*)'s: the pairs are those of far fewer halves.
         Halves and pairs are tested in blocks of at most JOIN_ENTRIES, so
         the temporaries stay small whatever the factors' sizes.
         """
         lows, lo_bits, lo_key = _factor_halves(
             self.rng_lo, self.cl_lo, 0, self.low, conflict_free, closed,
-            needs)
+            needs, fixed)
         highs, hi_bits, hi_key = _factor_halves(
             self.rng_hi, self.cl_hi, self.lo, self.full ^ self.low,
-            conflict_free, closed, needs)
+            conflict_free, closed, needs, fixed)
         out = [np.zeros(0, dtype=np.uint32)]
         step = max(1, JOIN_ENTRIES // max(len(lows), 1))
         for s in range(0, len(highs), step):
@@ -184,6 +192,23 @@ class SubsetEngine:
             h, l = np.divmod(np.flatnonzero(bad == 0), len(lows))
             out.append(highs[s + h] | lows[l])
         return np.concatenate(out)
+
+    def grounded_core(self):
+        """(S*, rng(S*)) as ints. S* is the least fixpoint of S ->
+        cl(gamma(S)): both maps are monotone, so the sets grow from the
+        empty set and stop within n + 1 steps, each one lookup in the
+        range and closure tables and one defense test per element."""
+        low = (1 << self.lo) - 1
+        core = 0
+        while True:
+            rng = int(self.rng_lo[core & low] | self.rng_hi[core >> self.lo])
+            defended = sum(1 << a for a, need in enumerate(self.closures)
+                           if all(c & rng for c in need))
+            grown = int(self.cl_lo[defended & low]
+                        | self.cl_hi[defended >> self.lo])
+            if grown == core:
+                return core, rng
+            core = grown
 
     def gamma(self, masks):
         """Defended-element mask for each set, closure-aware."""
@@ -238,9 +263,14 @@ def _unmet(masks, needs):
     return out
 
 
-def _factor_halves(rng, cl, shift, part, conflict_free, closed, needs=None):
+def _factor_halves(rng, cl, shift, part, conflict_free, closed, needs=None,
+                   fixed=None):
     """The halves of one factor (bits `part`, from bit `shift` up) that
-    pass their own tests, with their bits and keys (see `_join`)."""
+    pass their own tests, with their bits and keys (see `_join`). Given
+    fixed = (held, barred), a half also holds held's bits of the factor and
+    no other bit of barred's."""
+    if fixed is not None:
+        held, barred = (np.uint32(x) & part for x in fixed)
     out = []
     for s in range(0, len(rng), JOIN_ENTRIES):
         r, c = rng[s:s + JOIN_ENTRIES], cl[s:s + JOIN_ENTRIES]
@@ -254,6 +284,8 @@ def _factor_halves(rng, cl, shift, part, conflict_free, closed, needs=None):
             keep &= (r & half) == 0
         if closed:
             keep &= (c & part) == half
+        if fixed is not None:
+            keep &= (half & (held | barred)) == held
         out.append((half[keep], (avoid | need)[keep], (half | need)[keep]))
     return [np.concatenate(col) for col in zip(*out)]
 
@@ -377,19 +409,26 @@ def families(frame, names):
     filter run at most once, `stb` on the same candidates, and only what
     the names need comes after. Unless `stb` is asked, a Pbaf's premise
     tables go to the join, which drops most non-exhaustive candidates
-    before the exact filter and `gamma`."""
+    before the exact filter and `gamma`. When every name is `co`, `gr` or
+    `stb`, the join takes (S*, rng(S*)) of `grounded_core` as fixed bits;
+    with `ad`, `pr` or `cf` it stays plain. This drops no extension: a `co`
+    set E is closed with gamma(E) = E, so by monotony S* lies in E and
+    rng(S*) outside it; `stb` sets are `co` sets, and a Pbaf's `co` and
+    `stb` sets are among its BAF's."""
     for s in names:
         if s not in SEMANTICS:
             raise ValueError(f"unknown semantics {s!r}")
     want = set(names)
     eng = frame.engine()
     out = {}
-    needs = None
+    needs = fixed = None
+    if want and want <= {"co", "gr", "stb"}:
+        fixed = eng.grounded_core()
     if hasattr(frame, "premises") and want & {"ad", "co", "gr", "pr"}:
         needs = eng.premise_tables(frame.premises)
     if want & {"ad", "co", "gr", "pr", "stb"}:
         # a pBAF's stable sets are its BAF's: `stb` takes the plain join
-        cand = eng.candidate_masks(None if "stb" in want else needs)
+        cand = eng.candidate_masks(None if "stb" in want else needs, fixed)
     if "stb" in want:
         out["stb"] = eng.stable_masks(cand)
     if want & {"ad", "co", "gr", "pr"}:

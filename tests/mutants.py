@@ -31,6 +31,8 @@ SRC = ROOT / "src"
 
 PREFILTER_TEST = ("tests/test_masks.py::"
                   "test_the_premise_prefilter_keeps_every_exhaustive_candidate")
+CORE_TEST = ("tests/test_masks.py::"
+             "test_the_core_keeps_exactly_the_halves_and_candidates_that_fit_it")
 
 MUTANTS = [
     # ABA defense counter-attacks the minimal sets deriving a contrary,
@@ -67,6 +69,19 @@ MUTANTS = [
      "_unmet(half, needs))",
      "_unmet(half, needs)) & part",
      PREFILTER_TEST),
+    # the join takes the grounded core when ad is asked, so ad loses
+    # every admissible set that does not hold S*
+    ("bipolaraba/masks.py",
+     'want <= {"co", "gr", "stb"}',
+     'want <= {"ad", "co", "gr", "stb"}',
+     "tests/test_cli.py::test_decision_tasks_on_a_pbaf_are_pinned"),
+    # the halves must hold S*'s bits but may meet rng(S*); a candidate
+    # holding S* is conflict-free and so avoids rng(S*) anyway: no output
+    # changes, the join only tests more pairs
+    ("bipolaraba/masks.py",
+     "(half & (held | barred)) == held",
+     "(half & held) == held",
+     CORE_TEST),
     # skept-pbaf's t is not forced, so no admissible set must defend it
     # with npsi, and npsi is not skeptically accepted on an unsatisfiable
     # formula; the fuzz seeds 0-49 draw none

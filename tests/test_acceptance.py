@@ -9,6 +9,7 @@ import io
 import random
 import time
 from contextlib import contextmanager, redirect_stdout
+from itertools import combinations
 
 from bipolaraba import (Cnf, GenParams, aba_closure, aba_extensions,
                         af_extensions, baf_closure, baf_extensions,
@@ -198,11 +199,21 @@ def test_criterion_7_premise_graph_correspondence_fuzz():
         assert frames_run >= 100
 
 
+def exhaustive_two_var_cnfs():
+    """Every set of at most four of the eight non-tautological clauses of
+    width 1 or 2 over x1, x2: 163 formulas, 72 of them unsatisfiable."""
+    literals = (1, -1, 2, -2)
+    universe = [(l,) for l in literals]
+    universe += [(a, b) for a in (1, -1) for b in (2, -2)]
+    return [Cnf(2, list(chosen)) for m in range(5)
+            for chosen in combinations(universe, m)]
+
+
 def test_criterion_8_construction_lemmas():
     with criterion(8, "four CNF gadgets vs brute-force SAT, exhaustive "
-                      "3-variable corpus plus random and pinned formulas",
-                   budget=300.0):
-        corpus = exhaustive_three_var_cnfs()
+                      "2- and 3-variable corpora plus random and pinned "
+                      "formulas", budget=300.0):
+        corpus = exhaustive_two_var_cnfs() + exhaustive_three_var_cnfs()
         corpus += [random_cnf(seed) for seed in range(100)]
         corpus += [Cnf(3, [(1, 2), (-1, 3), (-1, -3)]),
                    Cnf(1, [(1,), (-1,)]),
@@ -219,7 +230,9 @@ def test_criterion_8_construction_lemmas():
                 unsat_seen += 1
         assert failures == []
         assert ran >= 1400          # a few oversized gadget checks may skip
-        assert unsat_seen >= 3      # both branches of every iff exercised
+        # both branches of every iff exercised: the 72 unsatisfiable
+        # 2-variable formulas, three pinned ones and random_cnf seed 56
+        assert unsat_seen >= 76
 
 
 def test_criterion_9_round_trips_and_determinism(tmp_path):

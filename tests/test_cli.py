@@ -520,6 +520,14 @@ def test_reduce_output_is_pinned(capsys):
     replay(capsys, "reduce.out")
 
 
+def test_co_gr_and_stb_tasks_are_pinned(capsys):
+    # enumerate, cred, skept and ver under co, gr and stb on an ABA
+    # framework, a pBAF and sat24.baf, the 24-argument sat-baf gadget of
+    # sat24.cnf (3 models: 5 complete and 3 stable extensions, and a
+    # grounded set that is not complete), which the first line rebuilds
+    replay(capsys, "golden.tasks.out")
+
+
 # ------------------------------------------------------------- memory bound
 
 def run_capped(limit, *argv):
@@ -574,6 +582,23 @@ def test_enumerating_two_to_the_20_extensions_fits_in_memory(tmp_path):
     assert proc.stdout.endswith(
         ', ["19"]], "query": null, "semantics": "ad", "task": "enumerate"}\n')
     assert proc.stdout.count("[") == (1 << 20) + 1
+
+
+def test_co_gr_and_stb_on_24_free_arguments_fit_in_memory(tmp_path):
+    # the grounded core S* of an attack-free frame is every argument, so
+    # each factor of the candidate join keeps one half: the 90-100 MB of
+    # address space that importing numpy takes, where joining all 2^24
+    # conflict-free sets took 460 MB
+    limit = 200 << 20
+    every = ",".join(map(str, range(24)))
+    requests = ((("--task", "enumerate"), f"[{every}]\ncount: 1\n"),
+                (("--task", "cred", "--query", "0"), "YES\n"),
+                (("--task", "skept", "--query", "23"), "YES\n"),
+                (("--task", "ver", "--query", every), "YES\n"))
+    for sigma in ("co", "gr", "stb"):
+        for args, want in requests:
+            proc = solve_capped(tmp_path, 24, limit, "--sigma", sigma, *args)
+            assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
 
 
 def test_maximality_over_all_two_to_the_24_masks_fits_in_memory():

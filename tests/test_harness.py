@@ -95,6 +95,25 @@ def test_random_aba_over_one_atom():
         assert all(body in ((), ("s1",)) for _, body in frame.rules)
 
 
+def test_random_aba_refuses_rules_over_no_atoms():
+    with pytest.raises(ValueError, match="n_atoms must be at least 1 to "
+                                         "draw rules, got 0"):
+        random_aba(GenParams(n_atoms=0))
+    assert random_aba(GenParams(n_atoms=0, n_rules=0)).atoms == []
+
+
+def test_random_baf_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+        random_baf(-1, 0)
+    assert random_baf(0, 0).n == 0
+
+
+def test_random_pbaf_refuses_a_negative_premise_bound():
+    with pytest.raises(ValueError, match="premise_bound must be at least 0, "
+                                         "got -1"):
+        random_pbaf(3, 1, premise_bound=-1)
+
+
 def test_random_pbaf_without_premise_ids():
     for seed in range(200):
         pframe = random_pbaf(4, seed, premise_bound=0)

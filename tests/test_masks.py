@@ -7,19 +7,21 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bipolaraba import (AbaFramework, Baf, Cnf, GenParams, Pbaf, aba_closure,
                         aba_decide, aba_extensions, attack_range, baf_closure,
-                        baf_decide, baf_extensions, construct_skept_pbaf,
-                        instantiate_pbaf, pbaf_extensions, random_aba,
-                        random_baf, random_pbaf)
+                        baf_decide, baf_extensions, construct_gr_baf,
+                        construct_sat_baf, construct_skept_baf,
+                        construct_skept_pbaf, instantiate_pbaf,
+                        pbaf_extensions, random_aba, random_baf, random_pbaf)
 from bipolaraba import (NotAnAssumption, cli, format_aba, format_baf,
                         format_pbaf, masks)
 from bipolaraba.aba import attacker_closures
 from conftest import build_ex22, build_ex32, build_ex44
-from reference_impl import (aba_att, aba_cl, aba_defends, aba_theory, family,
-                            naive_aba_extensions, naive_baf_extensions,
+from reference_impl import (aba_att, aba_cl, aba_defends, aba_theory, baf_cl,
+                            baf_rng, family, naive_aba_extensions,
+                            naive_baf_extensions, naive_gamma,
                             naive_pbaf_extensions)
 
 
@@ -498,9 +500,9 @@ def test_families_join_once_for_the_candidates_and_once_for_cf(monkeypatch):
     joins = []
     join = masks.SubsetEngine._join
 
-    def counted(eng, conflict_free, closed, needs=None):
+    def counted(eng, conflict_free, closed, needs=None, fixed=None):
         joins.append((conflict_free, closed))
-        return join(eng, conflict_free, closed, needs)
+        return join(eng, conflict_free, closed, needs, fixed)
 
     monkeypatch.setattr(masks.SubsetEngine, "_join", counted)
     aba = random_aba(GenParams(seed=0))
@@ -519,13 +521,21 @@ def block_pbaf(rng):
     return Pbaf(frame, premises, 24)
 
 
-def skept_pbaf(rng):
-    """The skept-pbaf gadget of 4 variables and 4 clauses: 24 arguments,
-    the d_i and t with empty premise sets."""
-    clauses = [tuple(v if rng.random() < 0.5 else -v
-                     for v in rng.sample(range(1, 5), rng.randint(1, 3)))
-               for _ in range(4)]
-    return construct_skept_pbaf(Cnf(4, clauses))
+# each gadget with the formula size that gives it 24 arguments
+GADGETS_24 = {"sat-baf": (construct_sat_baf, 6, 10),
+              "gr-baf": (construct_gr_baf, 5, 2),
+              "skept-baf": (construct_skept_baf, 4, 2),
+              "skept-pbaf": (construct_skept_pbaf, 4, 4)}
+
+
+def gadget_24(kind, rng):
+    """A gadget of 24 arguments over random clauses of one to three
+    variables; skept-pbaf's d_i and t have empty premise sets."""
+    build, v, c = GADGETS_24[kind]
+    clauses = [tuple(x if rng.random() < 0.5 else -x
+                     for x in rng.sample(range(1, v + 1), rng.randint(1, 3)))
+               for _ in range(c)]
+    return build(Cnf(v, clauses))
 
 
 @st.composite
@@ -545,7 +555,8 @@ def pbafs(draw):
             n_atoms=6, n_assumptions=4, n_rules=7, seed=seed)))
         assume(inst.baf.n <= masks.ENUM_LIMIT)
         return inst.pbaf
-    return (block_pbaf if kind == "block" else skept_pbaf)(random.Random(seed))
+    rng = random.Random(seed)
+    return block_pbaf(rng) if kind == "block" else gadget_24("skept-pbaf", rng)
 
 
 @settings(deadline=None, max_examples=40)
@@ -569,3 +580,128 @@ def test_the_premise_prefilter_keeps_every_exhaustive_candidate(frame):
     for s in ("ad", "co", "gr", "pr"):
         assert (masks.families(frame, (s,))[s].tolist()
                 == unpruned[s].tolist()), s
+
+
+# ------------------------------------------------------- the grounded core
+
+CORE_KINDS = ("baf", "pbaf", "aba", "instantiated", *GADGETS_24)
+
+
+def core_case(kind, seed):
+    """(frame, member labels, reference_impl oracle): a random BAF or pBAF
+    of up to 14 arguments, a random ABA framework of up to 4 assumptions,
+    the premise graph of a random ABA framework, or a 24-argument
+    gadget."""
+    if kind in ("baf", "pbaf"):
+        n, p_att = seed % 15, (0.05, 0.15, 0.3)[seed // 15 % 3]
+        if kind == "baf":
+            return (random_baf(n, seed, p_att=p_att), range(n),
+                    naive_baf_extensions)
+        return (random_pbaf(n, seed, p_att=p_att), range(n),
+                naive_pbaf_extensions)
+    if kind == "aba":
+        aba = random_aba(GenParams(n_atoms=6, n_assumptions=seed % 5,
+                                   n_rules=4 + seed % 7, seed=seed))
+        return aba, aba.assumptions, naive_aba_extensions
+    if kind == "instantiated":
+        inst = instantiate_pbaf(random_aba(GenParams(
+            n_atoms=6, n_assumptions=4, n_rules=7, seed=seed)))
+        assume(inst.baf.n <= masks.ENUM_LIMIT)
+        return inst.pbaf, range(inst.baf.n), naive_pbaf_extensions
+    return gadget_24(kind, random.Random(seed)), range(24), None
+
+
+def reference_core(frame, labels):
+    """S* and rng(S*) as masks, by the definitions in `reference_impl`:
+    S* is the least fixpoint of S -> cl(gamma(S))."""
+    if isinstance(frame, AbaFramework):
+        def gamma(s):
+            return frozenset(a for a in labels if aba_defends(frame, s, a))
+
+        def cl(s):
+            return aba_cl(frame, s)
+
+        def rng(s):
+            return frozenset(a for a in labels if aba_att(frame, s, {a}))
+    else:
+        baf = frame.baf if isinstance(frame, Pbaf) else frame
+
+        def gamma(s):
+            return naive_gamma(baf, s)
+
+        def cl(s):
+            return baf_cl(baf, s)
+
+        def rng(s):
+            return baf_rng(baf, s)
+    core = frozenset()
+    while cl(gamma(core)) != core:
+        core = cl(gamma(core))
+    return to_mask(core, labels), to_mask(rng(core), labels)
+
+
+def core_cases(test):
+    """Run the test on `core_case` of random kinds and seeds, and always
+    on four cases whose S* is not empty, three of them with a range."""
+    test = given(st.sampled_from(CORE_KINDS), st.integers(0, 10 ** 6))(test)
+    for kind, seed in (("sat-baf", 0), ("instantiated", 1), ("baf", 21),
+                       ("aba", 24)):
+        test = example(kind, seed)(test)
+    return settings(deadline=None, max_examples=100)(test)
+
+
+@core_cases
+def test_the_grounded_core_lies_in_every_complete_and_stable_extension(
+        kind, seed):
+    frame, labels, oracle = core_case(kind, seed)
+    labels = list(labels)
+    core, out = frame.engine().grounded_core()
+    if len(labels) <= 10:
+        assert (core, out) == reference_core(frame, labels)
+        found = [to_mask(e, labels) for s in ("co", "stb")
+                 for e in oracle(frame, s)]
+    else:  # asked with ad, the join is plain
+        plain = masks.families(frame, ("ad", "co", "stb"))
+        found = plain["co"].tolist() + plain["stb"].tolist()
+    for e in found:
+        assert e & core == core and not e & out
+
+
+@core_cases
+def test_the_core_keeps_exactly_the_halves_and_candidates_that_fit_it(
+        kind, seed):
+    frame = core_case(kind, seed)[0]
+    eng = frame.engine()
+    core, out = eng.grounded_core()
+    needs = [None]
+    if isinstance(frame, Pbaf):
+        needs.append(eng.premise_tables(frame.premises))
+    for need in needs:
+        plain = eng.candidate_masks(need)
+        fits = plain[((plain & core) == core) & ((plain & out) == 0)]
+        assert eng.candidate_masks(need, (core, out)).tolist() == fits.tolist()
+        # a candidate holding S* is conflict-free, so it avoids rng(S*)
+        # anyway: only the halves show whether the join drops rng(S*)
+        held, barred = np.uint32(core), np.uint32(out & ~core)
+        for rng, cl, shift, part in (
+                (eng.rng_lo, eng.cl_lo, 0, eng.low),
+                (eng.rng_hi, eng.cl_hi, eng.lo, eng.full ^ eng.low)):
+            args = (rng, cl, shift, part, True, True, need)
+            every = masks._factor_halves(*args)
+            fit = (every[0] & held) == (held & part)
+            fit &= (every[0] & barred) == 0
+            kept = masks._factor_halves(*args, (core, out))
+            assert ([c.tolist() for c in kept]
+                    == [c[fit].tolist() for c in every])
+
+
+@core_cases
+def test_co_gr_and_stb_alone_equal_their_families_from_the_plain_join(
+        kind, seed):
+    frame = core_case(kind, seed)[0]
+    for names, plain in ((("co",), ("ad", "co")), (("gr",), ("ad", "gr")),
+                         (("stb",), ("cf", "stb")),
+                         (("co", "gr", "stb"), ("ad", "co", "gr", "stb"))):
+        got, want = masks.families(frame, names), masks.families(frame, plain)
+        for s in names:
+            assert got[s].tolist() == want[s].tolist(), (names, s)
