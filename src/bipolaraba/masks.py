@@ -12,11 +12,15 @@ For BAFs the range and closure distribute over set union (support is
 deductive), so the bits split in halves and no table over all 2^n sets
 is built: each factor table of 2^(n/2) entries is filled with a doubling
 trick, the table for masks containing element k being the table without
-k OR-ed with k's own row. An ABA theory does not distribute over union,
-so the ABA builder puts every bit in the low factor, whose tables are
+k OR-ed with k's own row. An ABA theory need not distribute over union,
+so `aba_engine` puts every bit in the low factor, whose tables are
 projections of a theory table over all assumption masks, and leaves the
 high factor empty. `forward_chain`, the one forward-chaining routine,
 fills that table block by block and serves any list of assumption sets.
+When every rule body has at most one atom (an atomic framework), the
+theory of a set is that of the empty set joined with those of its
+members, so `atomic_aba_engine` splits the bits in halves as for a BAF,
+from one forward chain over the singletons and the empty set.
 `families`, the one route from a frame to extension masks, runs any
 names on one engine and one candidate join, which `stb` shares; `cf`
 alone joins apart. Unless `stb` is asked, a pBAF's join takes its
@@ -400,6 +404,33 @@ def aba_engine(k, n_atoms, rules, contrary):
     return SubsetEngine(k, (rng, empty), (cl, empty), closures)
 
 
+def atomic_aba_engine(k, n_atoms, rules, contrary):
+    """`aba_engine` of an atomic framework, every rule body at most one
+    atom (facts allowed), without the 2^k theory table.
+
+    A derivation is then a chain, so Th(S) is Th(∅) joined with Th({b})
+    over the members b of S: closure and range distribute over union, as
+    in a BAF. One `forward_chain` over k + 1 columns, {j} for j < k and
+    ∅ last, gives each assumption's rows and the constant rows of ∅, which
+    every low half takes. The minimal derivers of a contrary are ∅ when ∅
+    derives it, else the singletons {b} whose theory holds it.
+    """
+    _check_size("assumption count", k)
+    th = np.zeros((n_atoms, k + 1), dtype=bool)
+    th[:k, :k] = np.eye(k, dtype=bool)
+    forward_chain(th, rules)
+    cl1, rng1 = row_masks(th[:k]), row_masks(th[contrary])
+    cl0, rng0 = cl1.pop(), rng1.pop()
+    cl_lo, cl_hi = _factor_tables(k, k // 2, cl1)
+    rng_lo, rng_hi = _factor_tables(k, k // 2, rng1)
+    cl_lo |= np.uint32(cl0)
+    rng_lo |= np.uint32(rng0)
+    closures = [[cl0] if rng0 >> a & 1 else
+                sorted({c for c, r in zip(cl1, rng1) if r >> a & 1})
+                for a in range(k)]
+    return SubsetEngine(k, (rng_lo, rng_hi), (cl_lo, cl_hi), closures)
+
+
 # ----------------------------------------------------------------- filters
 
 def families(frame, names):
@@ -414,7 +445,9 @@ def families(frame, names):
     with `ad`, `pr` or `cf` it stays plain. This drops no extension: a `co`
     set E is closed with gamma(E) = E, so by monotony S* lies in E and
     rng(S*) outside it; `stb` sets are `co` sets, and a Pbaf's `co` and
-    `stb` sets are among its BAF's."""
+    `stb` sets are among its BAF's. So when S* attacks itself, no set
+    holds S* conflict-free: `co` and `stb` are empty and `gr` is {∅}
+    without a join."""
     for s in names:
         if s not in SEMANTICS:
             raise ValueError(f"unknown semantics {s!r}")
@@ -424,6 +457,11 @@ def families(frame, names):
     needs = fixed = None
     if want and want <= {"co", "gr", "stb"}:
         fixed = eng.grounded_core()
+        if fixed[0] & fixed[1]:  # S* attacks itself: no co set, so no stb set
+            none = np.zeros(0, dtype=np.uint32)
+            out = {"co": none, "stb": none,
+                   "gr": np.array([0], dtype=np.uint32)}
+            return {s: out[s] for s in names}
     if hasattr(frame, "premises") and want & {"ad", "co", "gr", "pr"}:
         needs = eng.premise_tables(frame.premises)
     if want & {"ad", "co", "gr", "pr", "stb"}:

@@ -33,6 +33,8 @@ PREFILTER_TEST = ("tests/test_masks.py::"
                   "test_the_premise_prefilter_keeps_every_exhaustive_candidate")
 CORE_TEST = ("tests/test_masks.py::"
              "test_the_core_keeps_exactly_the_halves_and_candidates_that_fit_it")
+ATOMIC_TEST = ("tests/test_masks.py::"
+               "test_the_atomic_engine_matches_the_general_one")
 
 MUTANTS = [
     # ABA defense counter-attacks the minimal sets deriving a contrary,
@@ -41,6 +43,18 @@ MUTANTS = [
      "np.unique(cl[derivers[(targets >> np.uint32(a)) & 1 == 1]])",
      "np.unique(derivers[(targets >> np.uint32(a)) & 1 == 1].astype(np.uint32))",
      ["fuzz", "--checks", "defense-eq", "--count", "200"]),
+    # an atomic framework's low factor loses the theory of the empty set,
+    # so the facts are lost from every set within the high factor
+    ("bipolaraba/masks.py",
+     "    cl_lo |= np.uint32(cl0)\n    rng_lo |= np.uint32(rng0)\n",
+     "",
+     ATOMIC_TEST),
+    # atomic ABA defense counter-attacks the singletons deriving a
+    # contrary, not their closures
+    ("bipolaraba/masks.py",
+     "sorted({c for c, r in zip(cl1, rng1) if r >> a & 1})",
+     "sorted({1 << b for b, r in enumerate(rng1) if r >> a & 1})",
+     ATOMIC_TEST),
     # closed-set defense skips the subset-OR pass of the top bit
     ("bipolaraba/masks.py",
      "for i in range(len(t).bit_length() - 1):",

@@ -486,12 +486,14 @@ def solve_transcript(capsys, path):
 
 
 @pytest.mark.parametrize("name", ["golden.pbaf", "golden.aba",
-                                  "golden_names.pbaf"])
+                                  "golden_nonatomic.aba", "golden_names.pbaf"])
 def test_solve_output_is_pinned(capsys, name):
     # pBAF members print in id order, whatever their names; ABA members
-    # print in name order, so a10 comes before a2; golden_names.pbaf has
-    # names that JSON escapes or that look like list syntax, an empty
-    # family (stb) and the family of the empty set alone (gr)
+    # print in name order, so a10 comes before a2; golden.aba is atomic
+    # (no rule body of two atoms) and golden_nonatomic.aba is not, so each
+    # ABA engine builder is pinned; golden_names.pbaf has names that JSON
+    # escapes or that look like list syntax, an empty family (stb) and the
+    # family of the empty set alone (gr)
     want = (DATA / f"{name}.out").read_text(encoding="utf-8")
     assert solve_transcript(capsys, DATA / name) == want
 
@@ -599,6 +601,29 @@ def test_co_gr_and_stb_on_24_free_arguments_fit_in_memory(tmp_path):
         for args, want in requests:
             proc = solve_capped(tmp_path, 24, limit, "--sigma", sigma, *args)
             assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
+
+
+def test_co_and_pr_on_24_atomic_assumptions_fit_in_memory(tmp_path):
+    # 12 pairs of assumptions i, i+1 whose one-atom rules derive each
+    # other's contrary: an atomic framework, whose engine has two factors
+    # of 2^12 entries, where the theory table over all 2^24 assumption
+    # sets does not fit. Each of the 3^12 sets holding at most one of
+    # each pair is complete, and the 2^12 holding one of each preferred.
+    lines = ["p aba 48"] + [f"a {i}" for i in range(1, 25)]
+    lines += [f"c {i} {i + 24}" for i in range(1, 25)]
+    lines += [f"r {i + 24 + d} {i + 1 - d}" for i in range(1, 25, 2)
+              for d in (0, 1)]
+    path = tmp_path / "pairs.aba"
+    path.write_text("\n".join(lines) + "\n")
+    limit = 200 << 20
+    for sigma, count in (("co", 3 ** 12), ("pr", 2 ** 12)):
+        proc = run_capped(limit, "-m", "bipolaraba.cli", "solve", str(path),
+                          "--sigma", sigma)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(f"\ncount: {count}\n")
+        assert proc.stdout.count("\n") == count + 1
+    # members in name order, so 10 comes before 3
+    assert proc.stdout.startswith("[1,10,11,13,15,17,19,21,23,3,5,7]\n")
 
 
 def test_maximality_over_all_two_to_the_24_masks_fits_in_memory():

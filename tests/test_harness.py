@@ -361,10 +361,15 @@ def test_defense_equivalence_size_guard_comes_before_any_work(monkeypatch):
     rep = check_defense_equivalence(ring, label="ring")
     assert [(it.status, it.detail) for it in rep.items] == [
         ("skip", "argument count is 25, limit is 24")]
-    wide = random_aba(GenParams(n_atoms=30, n_assumptions=25, seed=0))
-    rep = check_defense_equivalence(wide, label="wide")
-    assert [(it.status, it.detail) for it in rep.items] == [
-        ("skip", "assumption count is 25, limit is 24")]
+    # the first frame has two-atom bodies, the second is atomic: each
+    # builder's guard comes first
+    for max_body in (2, 1):
+        wide = random_aba(GenParams(n_atoms=30, n_assumptions=25,
+                                    max_body=max_body, seed=0))
+        assert any(len(body) == 2 for _, body in wide.rules) == (max_body == 2)
+        rep = check_defense_equivalence(wide, label="wide")
+        assert [(it.status, it.detail) for it in rep.items] == [
+            ("skip", "assumption count is 25, limit is 24")]
 
 
 def test_defense_equivalence_ring_of_16_is_quick():

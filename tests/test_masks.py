@@ -81,20 +81,112 @@ def test_baf_join_matches_brute_force(n, seed, p_att, join_entries):
         masks.JOIN_ENTRIES = old
 
 
+def aba_brute_force(frame):
+    labels = frame.assumptions
+    return brute_force(
+        len(labels),
+        lambda m: to_mask([a for a in labels
+                           if aba_att(frame, members(m, labels), [a])], labels),
+        lambda m: to_mask(aba_cl(frame, members(m, labels)), labels))
+
+
+def general_engine(frame):
+    """`masks.aba_engine` of an ABA framework, whatever its rule bodies."""
+    return masks.aba_engine(len(frame.assumptions), len(frame.atoms),
+                            frame._rules_ix, frame._contrary_ix)
+
+
+def general_families(frame, names=masks.SEMANTICS):
+    """`masks.families` with every ABA engine built by `aba_engine`, the
+    2^k route, atomic framework or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(masks, "atomic_aba_engine", masks.aba_engine)
+        return masks.families(frame, names)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 8), st.integers(1, 14), st.integers(0, 10 ** 6))
 def test_aba_join_matches_brute_force(k, n_rules, seed):
     # every bit in the low factor, a one-entry high factor
     frame = random_aba(GenParams(n_atoms=k + 3, n_assumptions=k,
                                  n_rules=n_rules, seed=seed))
-    labels = frame.assumptions
-    want = brute_force(
-        k, lambda m: to_mask([a for a in labels
-                              if aba_att(frame, members(m, labels), [a])], labels),
-        lambda m: to_mask(aba_cl(frame, members(m, labels)), labels))
-    eng = frame.engine()
+    eng = general_engine(frame)
     assert (eng.lo, len(eng.rng_hi)) == (k, 1)
-    assert_engine_matches(eng, want)
+    assert_engine_matches(eng, aba_brute_force(frame))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 8), st.integers(1, 14), st.integers(0, 10 ** 6))
+def test_atomic_aba_join_matches_brute_force(k, n_rules, seed):
+    # rule bodies of at most one atom: engine() splits the bits in halves
+    frame = random_aba(GenParams(n_atoms=k + 3, n_assumptions=k,
+                                 n_rules=n_rules, max_body=1, seed=seed))
+    eng = frame.engine()
+    assert eng.lo == k // 2
+    assert_engine_matches(eng, aba_brute_force(frame))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 14), st.integers(1, 12), st.integers(0, 40),
+       st.integers(0, 10 ** 6))
+@example(2, 2, 4, 3)  # a fact derives an assumption, both contraries
+@example(2, 2, 4, 14)  # {s2} attacks itself and its closure is {s1, s2}
+def test_the_atomic_engine_matches_the_general_one(k, extra_atoms, n_rules,
+                                                   seed):
+    # max_body=1 draws a fact for about half the rules
+    frame = random_aba(GenParams(n_atoms=k + extra_atoms, n_assumptions=k,
+                                 n_rules=n_rules, max_body=1, seed=seed))
+    eng, oracle = frame.engine(), general_engine(frame)
+    assert eng.lo == k // 2
+    assert eng.closures == oracle.closures
+    every = np.arange(1 << k, dtype=np.uint32)
+    assert eng.range_of(every).tolist() == oracle.range_of(every).tolist()
+    assert eng.gamma(every).tolist() == oracle.gamma(every).tolist()
+    got, want = masks.families(frame, masks.SEMANTICS), general_families(frame)
+    for s in masks.SEMANTICS:
+        assert got[s].tolist() == want[s].tolist(), s
+
+
+def baf_as_aba(baf):
+    """The atomic ABA framework of a BAF: argument i is the assumption a_i
+    with contrary c_i, an attack b -> a the rule c_a <- a_b and a support
+    b -> a the rule a_a <- a_b."""
+    asm = [f"a_{i}" for i in range(baf.n)]
+    con = [f"c_{i}" for i in range(baf.n)]
+    rules = ([(con[t], (asm[s],)) for s, t in baf.att]
+             + [(asm[t], (asm[s],)) for s, t in baf.sup])
+    return AbaFramework(asm + con, asm, dict(zip(asm, con)), rules)
+
+
+# cf is left out: a BAF's conflict-free sets need not be closed, the
+# translation's must
+TRANSLATED = ("ad", "co", "gr", "pr", "stb")
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 16), st.integers(0, 10 ** 6),
+       st.sampled_from([0.05, 0.15, 0.3]))
+def test_a_baf_and_its_aba_translation_have_the_same_families(n, seed, p_att):
+    baf = random_baf(n, seed, p_att=p_att, p_sup=p_att / 2)
+    aba = baf_as_aba(baf)
+    want = masks.families(baf, TRANSLATED)
+    for got in (masks.families(aba, TRANSLATED),
+                general_families(aba, TRANSLATED)):
+        for s in TRANSLATED:
+            assert got[s].tolist() == want[s].tolist(), s
+
+
+def test_a_24_argument_baf_and_its_aba_translation_have_the_same_families():
+    # 12 mutually attacking pairs and two supports: 334,611 admissible
+    # sets. The 2^24 route would take seconds and 350 MB; the atomic one
+    # splits the assumptions in halves as the BAF engine splits arguments
+    baf = pair_pbaf(12).baf
+    want = masks.families(baf, TRANSLATED)
+    got = masks.families(baf_as_aba(baf), TRANSLATED)
+    assert [len(want[s]) for s in TRANSLATED] == [334611, 275562, 1, 2560,
+                                                  2560]
+    for s in TRANSLATED:
+        assert got[s].tolist() == want[s].tolist(), s
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -319,10 +411,14 @@ def test_unknown_semantics_is_refused_before_an_engine_is_built(monkeypatch):
 
     monkeypatch.setattr(masks, "baf_engine", no_engine)
     monkeypatch.setattr(masks, "aba_engine", no_engine)
+    monkeypatch.setattr(masks, "atomic_aba_engine", no_engine)
     baf, aba = build_ex32(), build_ex22()
     pbaf = Pbaf(baf, [frozenset()] * baf.n, 0)
-    with pytest.raises(AssertionError, match="engine built"):
-        baf_extensions(baf, "co")
+    # ex22 is atomic and ex44 is not: both builders are patched
+    for extensions, frame in ((baf_extensions, baf), (aba_extensions, aba),
+                              (aba_extensions, build_ex44())):
+        with pytest.raises(AssertionError, match="engine built"):
+            extensions(frame, "co")
     calls = [lambda: baf_extensions(baf, "nope"),
              lambda: pbaf_extensions(pbaf, "nope"),
              lambda: aba_extensions(aba, "nope"),
@@ -351,6 +447,7 @@ def test_a_query_of_the_wrong_type_is_refused_before_an_engine_is_built(
 
     monkeypatch.setattr(masks, "baf_engine", no_engine)
     monkeypatch.setattr(masks, "aba_engine", no_engine)
+    monkeypatch.setattr(masks, "atomic_aba_engine", no_engine)
     for frame, decide, item in ((baf, baf_decide, "10"),
                                 (pbaf, baf_decide, "10"),
                                 (aba, aba_decide, "ab")):
@@ -368,6 +465,7 @@ def test_a_bad_query_item_is_refused_before_an_engine_is_built(
 
     monkeypatch.setattr(masks, "baf_engine", no_engine)
     monkeypatch.setattr(masks, "aba_engine", no_engine)
+    monkeypatch.setattr(masks, "atomic_aba_engine", no_engine)
     baf, aba = build_ex32(), build_ex22()
     pbaf = Pbaf(baf, [frozenset()] * baf.n, 0)
     for frame in (baf, pbaf):
@@ -510,6 +608,31 @@ def test_families_join_once_for_the_candidates_and_once_for_cf(monkeypatch):
         joins.clear()
         masks.families(frame, masks.SEMANTICS)
         assert sorted(joins) == [(True, False), (True, True)]
+
+
+def test_no_join_when_the_grounded_core_attacks_itself(monkeypatch):
+    # 0 is unattacked, so S* holds it and the 1 that it supports and attacks
+    frames = [Baf(2, [(0, 1)], [(0, 1)])]
+    for seed in range(120):
+        for frame in (random_baf(seed % 9, seed), random_pbaf(seed % 9, seed),
+                      random_aba(GenParams(seed=seed, max_body=seed % 3))):
+            core, out = frame.engine().grounded_core()
+            if core & out:
+                frames.append(frame)
+    kinds = {type(f) for f in frames}
+    assert kinds == {Baf, Pbaf, AbaFramework} and len(frames) > 20
+    cases = [(names, names + ("ad",)) for names in
+             (("co",), ("gr",), ("stb",), ("co", "gr", "stb"))]
+    want = [masks.families(f, plain) for f in frames for _, plain in cases]
+    joins = []
+    monkeypatch.setattr(masks.SubsetEngine, "_join",
+                        lambda *args, **kw: joins.append(args))
+    got = [masks.families(f, names) for f in frames for names, _ in cases]
+    assert not joins
+    for g, w in zip(got, want):
+        assert list(g) == [s for s in w if s != "ad"]
+        for s, m in g.items():
+            assert (m.dtype, m.tolist()) == (w[s].dtype, w[s].tolist())
 
 
 def block_pbaf(rng):
