@@ -142,11 +142,14 @@ def attacks(frame: AbaFramework, attacker, target):
 
 
 def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
-    """All arguments of the framework, deduplicated by (support, conclusion).
+    """All arguments of the framework, deduplicated by (support, conclusion):
+    the assumption bases ({a}, a) first, in assumption order, then the rest
+    by the atom order of the conclusion and then of the sorted support.
 
-    Saturates: assumption bases and facts seed the pool, then rules combine
-    existing arguments. Raises CapExceeded when more than `cap` distinct
-    arguments exist, or when the combination work itself blows up.
+    Saturates: assumption bases seed the pool, then rules combine existing
+    arguments, a fact as a rule with one empty combination. Raises
+    CapExceeded when more than `cap` distinct arguments exist, or when the
+    combination work itself blows up.
     """
     cached = frame._memo.get(("arguments", cap))
     if cached is not None:
@@ -172,14 +175,8 @@ def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
     while changed:
         changed = False
         for head, body in frame.rules:
-            if not body:
-                if add(frozenset(), head):
-                    changed = True
-                continue
-            pools = [by_concl.get(b, ()) for b in body]
-            if any(len(p) == 0 for p in pools):
-                continue
-            for combo in product(*[list(p) for p in pools]):
+            # product() copies the pools first, so the loop may grow them
+            for combo in product(*(by_concl.get(b, ()) for b in body)):
                 work += 1
                 if work > work_budget:
                     raise CapExceeded(cap, "argument construction work limit hit")
@@ -187,8 +184,7 @@ def enumerate_arguments(frame: AbaFramework, cap=ARGUMENT_CAP):
                 if add(support, head):
                     changed = True
 
-    base_rank = {a: i for i, a in enumerate(frame.assumptions)}
-    atom_rank = frame._atom_ix
+    base_rank, atom_rank = frame._asm_ix, frame._atom_ix
 
     def key(arg):
         support, concl = arg
@@ -242,14 +238,14 @@ def attacker_closures(frame: AbaFramework, cap=ARGUMENT_CAP):
 
 
 def aba_extensions(frame: AbaFramework, semantics):
-    """Enumerate extensions with the subset engine.
+    """Enumerate extensions with the subset engine: `aba_decide`'s
+    enumerate task.
 
     Conflict-freeness and closedness are required across the board, and
     defense counter-attacks closed attacker sets, so even grounded and
     stable go through the same filters.
     """
-    return masks.mask_sets(masks.families(frame, (semantics,))[semantics],
-                           frame.assumptions)
+    return aba_decide(frame, "enumerate", semantics)
 
 
 def aba_decide(frame: AbaFramework, task, semantics, query=None):

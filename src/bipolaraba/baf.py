@@ -151,30 +151,30 @@ def is_exhaustive(pframe: Pbaf, ext):
 
 # ------------------------------------------------------------- enumeration
 
-def baf_extensions(frame: Baf, semantics):
-    """Enumerate extensions under the closed-set semantics."""
-    return masks.mask_sets(masks.families(frame, (semantics,))[semantics],
-                           range(frame.n))
+def baf_extensions(frame, semantics):
+    """Enumerate extensions under the closed-set semantics: `baf_decide`'s
+    enumerate task, so a Pbaf's are its premise-aware ones."""
+    return baf_decide(frame, "enumerate", semantics)
 
 
-def pbaf_extensions(pframe: Pbaf, semantics):
-    """Premise-aware extensions.
+def pbaf_extensions(pframe, semantics):
+    """Premise-aware extensions, `baf_decide`'s enumerate task.
 
     Admissibility additionally requires exhaustiveness; stable and
     conflict-free sets are taken from the underlying BAF unchanged.
     """
-    return masks.mask_sets(masks.families(pframe, (semantics,))[semantics],
-                           range(pframe.baf.n))
+    return baf_decide(pframe, "enumerate", semantics)
 
 
 def af_extensions(frame: Baf, semantics):
-    """Textbook Dung semantics for support-free frameworks.
+    """Textbook Dung semantics for support-free frameworks, `baf_decide`'s
+    enumerate task with `classic`.
 
     Implemented independently of the closed-set machinery (plain subset
     scan, attacker-wise defense, grounded as the least complete set) so the
     two routes can be compared on degenerate inputs.
     """
-    return masks.mask_sets(_af_masks(frame, semantics), range(frame.n))
+    return baf_decide(frame, "enumerate", semantics, classic=True)
 
 
 def _af_masks(frame: Baf, semantics):

@@ -185,20 +185,18 @@ def _family_sets(frame, names, labels):
     return {s: mask_sets(m, labels) for s, m in families(frame, names).items()}
 
 
-def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
-                         targets=("baf", "pbaf"), semantics=None) -> CheckReport:
+def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
+                         label="") -> CheckReport:
     """Extensions of the framework against extensions of its argument graph.
 
     Attack/support graph alone: forward agreement for co/gr/stb, backward
     for ad/co/gr/stb. With premise labels: both directions for all five
-    semantics. Passing a single semantics name restricts the comparison to
-    it. The grounded convention (empty family of complete sets yields the
-    empty grounded member) is checked for consistency instead of being
-    pushed through the argument mapping.
+    semantics. The grounded convention (empty family of complete sets
+    yields the empty grounded member) is checked for consistency instead of
+    being pushed through the argument mapping.
     """
     rep = CheckReport()
-    names = tuple(s for s in ("ad", "co", "gr", "pr", "stb")
-                  if semantics in (None, s))
+    names = ("ad", "co", "gr", "pr", "stb")
 
     def run_side(side, family, compared, forward_list):
         for sem in compared:
@@ -225,20 +223,16 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP, label="",
         # the engine's own guard, before the graph is built and solved
         _check_size("argument count", len(enumerate_arguments(frame, cap)))
         inst = instantiate_pbaf(frame, cap)
-        d_family = _family_sets(frame, ("co",) + names, frame.assumptions)
+        d_family = _family_sets(frame, names, frame.assumptions)
         co_d_empty = not d_family["co"]
-        if "baf" in targets:
-            compared = tuple(s for s in names if s != "pr")
-            family = _family_sets(inst.baf, ("co", "stb") + compared,
-                                  range(inst.baf.n))
-            run_side("baf", family, compared, ("co", "gr", "stb"))
-            if semantics in (None, "co", "stb"):
-                exhaustive_bad = [e for sem in ("co", "stb") for e in family[sem]
-                                  if not is_assumption_exhaustive(inst, e)]
-                rep.add("baf-co-stb-exhaustive", label, not exhaustive_bad)
-        if "pbaf" in targets:
-            family = _family_sets(inst.pbaf, ("co",) + names, range(inst.baf.n))
-            run_side("pbaf", family, names, names)
+        compared = ("ad", "co", "gr", "stb")
+        family = _family_sets(inst.baf, compared, range(inst.baf.n))
+        run_side("baf", family, compared, ("co", "gr", "stb"))
+        exhaustive_bad = [e for sem in ("co", "stb") for e in family[sem]
+                          if not is_assumption_exhaustive(inst, e)]
+        rep.add("baf-co-stb-exhaustive", label, not exhaustive_bad)
+        family = _family_sets(inst.pbaf, names, range(inst.baf.n))
+        run_side("pbaf", family, names, names)
         th = frame._theories([a.support for a in inst.arguments])
         cl_bad = [str(a) for i, a in enumerate(inst.arguments)
                   if assumptions_of(inst, baf_closure(inst.baf, {i}))

@@ -20,7 +20,6 @@ class Instantiation:
     source: AbaFramework
     arguments: list
     baf: Baf
-    base_index: dict
     pbaf: Pbaf | None = None
 
     def argument_id(self, support, conclusion):
@@ -36,8 +35,6 @@ def _build(frame: AbaFramework, cap):
     args = enumerate_arguments(frame, cap)
     names = [str(a) for a in args]
     th = frame._theories([a.support for a in args])
-    # assumption i's base argument ({a_i}, a_i) is argument i
-    base_index = {a: i for i, a in enumerate(frame.assumptions)}
     # the arguments each atom attacks: those whose support holds an
     # assumption with that contrary, ascending
     attacked = {}
@@ -47,16 +44,16 @@ def _build(frame: AbaFramework, cap):
     att = [(x, y) for x, a in enumerate(args)
            for y in attacked.get(a.conclusion, ())]
     # argument x supports the base argument of each other assumption its
-    # support derives
+    # support derives; assumption i's base argument ({a_i}, a_i) is argument i
     k = len(frame.assumptions)
     sup = [(x, i) for x, i in np.argwhere(th[:k].T).tolist() if x != i]
-    return args, names, att, sup, base_index
+    return args, names, att, sup
 
 
 def instantiate_baf(frame: AbaFramework, cap=ARGUMENT_CAP):
     """The argument graph of the framework, attacks and supports only."""
-    args, names, att, sup, base_index = _build(frame, cap)
-    return Instantiation(frame, args, Baf(len(args), att, sup, names), base_index)
+    args, names, att, sup = _build(frame, cap)
+    return Instantiation(frame, args, Baf(len(args), att, sup, names))
 
 
 def instantiate_pbaf(frame: AbaFramework, cap=ARGUMENT_CAP):

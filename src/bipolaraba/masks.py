@@ -438,16 +438,22 @@ def families(frame, names):
     or an AbaFramework, by name. The names are checked before the engine
     is built, once; the candidate join, `gamma` and a Pbaf's exhaustiveness
     filter run at most once, `stb` on the same candidates, and only what
-    the names need comes after. Unless `stb` is asked, a Pbaf's premise
-    tables go to the join, which drops most non-exhaustive candidates
-    before the exact filter and `gamma`. When every name is `co`, `gr` or
-    `stb`, the join takes (S*, rng(S*)) of `grounded_core` as fixed bits;
-    with `ad`, `pr` or `cf` it stays plain. This drops no extension: a `co`
-    set E is closed with gamma(E) = E, so by monotony S* lies in E and
-    rng(S*) outside it; `stb` sets are `co` sets, and a Pbaf's `co` and
-    `stb` sets are among its BAF's. So when S* attacks itself, no set
-    holds S* conflict-free: `co` and `stb` are empty and `gr` is {∅}
-    without a join."""
+    the names need comes after. Each restriction of the join names the row
+    of the inclusion table (tests/test_inclusions.py) it rests on:
+
+    - Unless `stb` is asked, a Pbaf's premise tables go to the join, which
+      drops most non-exhaustive candidates before the exact filter and
+      `gamma`; `stb` takes the plain join, as "stb ⊆ ad" fails for a Pbaf.
+    - When every name is `co`, `gr` or `stb`, the join takes (S*, rng(S*))
+      of `grounded_core` as fixed bits, by "every co and stb set holds S*
+      and avoids rng(S*)", true of every kind: a `co` set E is closed with
+      gamma(E) = E, so by monotony S* lies in E and rng(S*) outside it. So
+      when S* attacks itself, `co` and `stb` are empty and `gr` is {∅}
+      without a join. `gr` stays the meet of `co`: "gr = {S*} when co ≠ ∅"
+      fails.
+    - With `ad`, `pr` or `cf` the join stays plain: "S* ⊆ every pr set"
+      and "pr ⊆ co" fail.
+    """
     for s in names:
         if s not in SEMANTICS:
             raise ValueError(f"unknown semantics {s!r}")

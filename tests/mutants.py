@@ -35,6 +35,8 @@ CORE_TEST = ("tests/test_masks.py::"
              "test_the_core_keeps_exactly_the_halves_and_candidates_that_fit_it")
 ATOMIC_TEST = ("tests/test_masks.py::"
                "test_the_atomic_engine_matches_the_general_one")
+INCLUSION_TEST = ("tests/test_inclusions.py::"
+                  "test_each_row_that_fails_fails_on_its_witness")
 
 MUTANTS = [
     # ABA defense counter-attacks the minimal sets deriving a contrary,
@@ -89,6 +91,13 @@ MUTANTS = [
      'want <= {"co", "gr", "stb"}',
      'want <= {"ad", "co", "gr", "stb"}',
      "tests/test_cli.py::test_decision_tasks_on_a_pbaf_are_pinned"),
+    # the join takes the grounded core when only pr is asked, so pr loses
+    # every preferred set that misses S*, and a core that attacks itself
+    # leaves no pr family at all
+    ("bipolaraba/masks.py",
+     'want <= {"co", "gr", "stb"}',
+     'want <= {"co", "gr", "pr", "stb"}',
+     INCLUSION_TEST),
     # the halves must hold S*'s bits but may meet rng(S*); a candidate
     # holding S* is conflict-free and so avoids rng(S*) anyway: no output
     # changes, the join only tests more pairs

@@ -4,7 +4,7 @@ Everything here is a direct powerset scan over frozensets, reading only the
 data fields of the framework objects, never their solver methods. Slow on
 purpose; keep inputs small.
 """
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 
 def powerset(items):
@@ -14,6 +14,29 @@ def powerset(items):
 
 
 # ------------------------------------------------------------------- ABA
+
+def naive_arguments(frame):
+    """The (support, conclusion) pairs of all derivation trees, in the
+    order `enumerate_arguments` documents. A tree is an assumption leaf, or
+    a rule whose every body occurrence, a repeated atom once per
+    occurrence, roots a subtree; a fact roots a tree with no subtree. Trees
+    grow one height at a time until a height adds no pair."""
+    found = {(frozenset([a]), a) for a in frame.assumptions}
+    while True:
+        grown = set(found)
+        for head, body in frame.rules:
+            subtrees = [[s for s, c in found if c == b] for b in body]
+            for pick in product(*subtrees):
+                grown.add((frozenset(chain.from_iterable(pick)), head))
+        if grown == found:
+            break
+        found = grown
+    bases = [(frozenset([a]), a) for a in frame.assumptions]
+    pos = {p: i for i, p in enumerate(frame.atoms)}
+    rest = sorted(found - set(bases),
+                  key=lambda sc: (pos[sc[1]], sorted(pos[x] for x in sc[0])))
+    return bases + rest
+
 
 def aba_theory(frame, base):
     cur = set(base)

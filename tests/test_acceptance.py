@@ -169,17 +169,27 @@ def test_criterion_5_structural_properties():
             assert aba_closure(frame, cl_s) == cl_s
 
 
+def correspondence_fuzz(owns):
+    """The failed items whose check name `owns` accepts, over one full
+    `check_correspondence` run on each of 200 random frameworks, and the
+    number of frameworks on which one of those items ran."""
+    failures = []
+    frames_run = 0
+    for seed in range(200):
+        rep = check_correspondence(random_aba(GenParams(seed=seed)), cap=2000,
+                                   label=f"seed{seed}")
+        items = [it for it in rep.items if owns(it.check)]
+        failures += [it for it in items if it.status == "fail"]
+        frames_run += any(it.status != "skip" for it in items)
+    return failures, frames_run
+
+
 def test_criterion_6_graph_correspondence_fuzz():
     with criterion(6, "ABA vs argument graph: co/gr/stb both ways, ad "
                       "backward, 200 random frameworks", budget=300.0):
-        failures = []
-        frames_run = 0
-        for seed in range(200):
-            frame = random_aba(GenParams(seed=seed))
-            rep = check_correspondence(frame, cap=2000, targets=("baf",),
-                                       label=f"seed{seed}")
-            failures += rep.failures
-            frames_run += 1 if rep.cases_run else 0
+        failures, frames_run = correspondence_fuzz(
+            lambda check: check.startswith("baf-")
+            or check == "single-argument-closure")
         assert failures == []
         assert frames_run >= 100
 
@@ -187,14 +197,8 @@ def test_criterion_6_graph_correspondence_fuzz():
 def test_criterion_7_premise_graph_correspondence_fuzz():
     with criterion(7, "ABA vs premise-labelled graph: all five semantics "
                       "both ways, 200 random frameworks", budget=300.0):
-        failures = []
-        frames_run = 0
-        for seed in range(200):
-            frame = random_aba(GenParams(seed=seed))
-            rep = check_correspondence(frame, cap=2000, targets=("pbaf",),
-                                       label=f"seed{seed}")
-            failures += rep.failures
-            frames_run += 1 if rep.cases_run else 0
+        failures, frames_run = correspondence_fuzz(
+            lambda check: check.startswith("pbaf-"))
         assert failures == []
         assert frames_run >= 100
 

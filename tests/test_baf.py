@@ -229,7 +229,7 @@ def test_af_guard():
         baf_decide(ring, "enumerate", "co", classic=True)
 
 
-def test_classic_on_a_pbaf_is_refused():
+def test_classic_on_a_pbaf_is_refused(ex22):
     # the Dung scan would drop the premises: {0} and {1} are admissible in
     # the BAF, but a set holding premise 0 must hold both arguments
     pbaf = Pbaf(Baf(2, [], []), [{0}, {0}], 1)
@@ -237,8 +237,25 @@ def test_classic_on_a_pbaf_is_refused():
         with pytest.raises(SolverError, match="classic Dung semantics apply "
                                               "to plain BAF files"):
             baf_decide(pbaf, task, "ad", query, classic=True)
+    for frame in (pbaf, ex22):  # so is an ABA framework, by either name
+        with pytest.raises(SolverError, match="classic Dung semantics apply "
+                                              "to plain BAF files"):
+            af_extensions(frame, "ad")
     assert baf_decide(pbaf, "ver", "ad", ["0"]) is False
     assert baf_decide(pbaf, "enumerate", "ad") == [frozenset(), frozenset({0, 1})]
+
+
+def test_each_wrapper_is_the_enumerate_task_on_either_graph_kind():
+    # seed 19: premise-aware ad, co, gr and pr differ from the BAF's
+    for frame in (random_baf(5, 19), random_pbaf(5, 19)):
+        for sigma in SEMANTICS:
+            want = baf_decide(frame, "enumerate", sigma)
+            assert baf_extensions(frame, sigma) == want, (frame, sigma)
+            assert pbaf_extensions(frame, sigma) == want, (frame, sigma)
+    free = random_baf(6, 4, p_sup=0.0)
+    for sigma in SEMANTICS:
+        assert af_extensions(free, sigma) == \
+            baf_decide(free, "enumerate", sigma, classic=True)
 
 
 # --------------------------------------------------------------- text io

@@ -197,27 +197,6 @@ def test_correspondence_grounded_convention_case():
     assert rep.failures == []
 
 
-def test_correspondence_targets_filter():
-    rep = check_correspondence(build_ex22(), targets=("baf",))
-    got = {it.check for it in rep.items}
-    assert "baf-ad-backward" in got
-    assert not any(name.startswith("pbaf-") for name in got)
-
-
-def test_correspondence_semantics_filter():
-    rep = check_correspondence(build_ex22(), semantics="co")
-    got = {it.check for it in rep.items}
-    assert got == {"baf-co-forward", "baf-co-backward",
-                   "baf-co-stb-exhaustive",
-                   "pbaf-co-forward", "pbaf-co-backward",
-                   "single-argument-closure"}
-    assert rep.failures == []
-    rep = check_correspondence(build_ex44(), semantics="gr")
-    assert {"baf-gr-convention", "pbaf-gr-convention"} <= \
-        {it.check for it in rep.items}
-    assert rep.failures == []
-
-
 def raised(exc_type, call, *args, **kw):
     """The message of the guard a call trips."""
     with pytest.raises(exc_type) as exc:

@@ -7,13 +7,14 @@ from bipolaraba import (AbaFramework, Baf, Cnf, GenParams, ParseError, Pbaf,
                         aba_closure, aba_decide,
                         aba_extensions, af_extensions, baf_closure, baf_decide,
                         baf_defends, baf_extensions, check_defense_equivalence,
+                        enumerate_arguments,
                         format_aba, format_baf, format_dimacs, format_pbaf,
                         is_exhaustive, parse_aba, parse_baf, parse_dimacs,
                         parse_pbaf, pbaf_extensions, random_aba, random_baf,
                         random_pbaf)
 from bipolaraba.cli import load_framework
 from bipolaraba.masks import or_table, single_closures
-from reference_impl import (family, naive_aba_extensions,
+from reference_impl import (family, naive_aba_extensions, naive_arguments,
                             naive_baf_extensions, naive_pbaf_extensions,
                             powerset)
 
@@ -54,6 +55,19 @@ def cnfs(draw):
     return Cnf(n, clauses)
 
 
+@st.composite
+def rule_frames(draw, max_atoms=6, max_assumptions=3):
+    """Frameworks with facts and with rule bodies that may repeat an atom,
+    which `random_aba` never draws."""
+    atoms = [f"s{i}" for i in range(1, draw(st.integers(1, max_atoms)) + 1)]
+    k = draw(st.integers(0, min(max_assumptions, len(atoms))))
+    atom = st.sampled_from(atoms)
+    contrary = {a: draw(atom) for a in atoms[:k]}
+    rules = draw(st.lists(st.tuples(atom, st.lists(atom, max_size=3)),
+                          max_size=8))
+    return AbaFramework(atoms, atoms[:k], contrary, rules)
+
+
 def subset_of(draw, items):
     return frozenset(x for x in items if draw(st.booleans()))
 
@@ -71,6 +85,15 @@ def test_aba_closure_laws(data, frame):
     assert small <= cl_small
     assert cl_small <= aba_closure(frame, big)
     assert aba_closure(frame, cl_small) == cl_small
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(rule_frames(), aba_frames(max_atoms=8, max_assumptions=5)))
+@example(AbaFramework(["a", "p", "q"], ["a"], {"a": "p"},
+                      [("p", ()), ("q", ("a", "p", "a")), ("a", ("q", "q"))]))
+def test_arguments_are_the_derivation_trees_in_documented_order(frame):
+    got = [(a.support, a.conclusion) for a in enumerate_arguments(frame)]
+    assert got == naive_arguments(frame)
 
 
 @settings(deadline=None, max_examples=30)
