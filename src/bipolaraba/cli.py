@@ -9,7 +9,7 @@ Verbs:
 
 Exit codes: 0 success, 1 bad query, wrong framework kind or unreadable
 input, 2 parse error (input that is not UTF-8 too), 3 size guard or
-argument cap.
+argument cap, 4 out of memory.
 """
 from __future__ import annotations
 
@@ -148,27 +148,28 @@ def _integer(least=None, what="an integer"):
     return read
 
 
+# each check's reports on the frames drawn from one seed
+CHECKS = {
+    "correspondence": lambda seed: [harness.check_correspondence(
+        harness.random_aba(harness.GenParams(seed=seed)),
+        label=f"seed={seed}")],
+    "defense-eq": lambda seed: [
+        harness.check_defense_equivalence(harness.random_baf(7, seed),
+                                          label=f"baf-seed={seed}"),
+        harness.check_defense_equivalence(
+            harness.random_aba(harness.GenParams(seed=seed)),
+            label=f"aba-seed={seed}")],
+    "constructions": lambda seed: [harness.check_construction_lemmas(
+        harness.random_cnf(seed), label=f"seed={seed}")],
+}
+
+
 def run_fuzz(args):
     report = harness.CheckReport()
     for check in args.checks:
-        if check == "correspondence":
-            for k in range(args.count):
-                frame = harness.random_aba(harness.GenParams(seed=args.seed + k))
-                report.extend(harness.check_correspondence(
-                    frame, label=f"seed={args.seed + k}"))
-        elif check == "defense-eq":
-            for k in range(args.count):
-                seed = args.seed + k
-                report.extend(harness.check_defense_equivalence(
-                    harness.random_baf(7, seed), label=f"baf-seed={seed}"))
-                report.extend(harness.check_defense_equivalence(
-                    harness.random_aba(harness.GenParams(seed=seed)),
-                    label=f"aba-seed={seed}"))
-        else:
-            for k in range(args.count):
-                cnf = harness.random_cnf(args.seed + k)
-                report.extend(harness.check_construction_lemmas(
-                    cnf, label=f"seed={args.seed + k}"))
+        for seed in range(args.seed, args.seed + args.count):
+            for part in CHECKS[check](seed):
+                report.extend(part)
     if args.format == "json":
         print(report.dumps())
     else:
@@ -252,9 +253,8 @@ def build_parser():
     p.set_defaults(func=run_reduce)
 
     p = sub.add_parser("fuzz", help="randomized cross-checks")
-    p.add_argument("--checks", nargs="+",
-                   choices=("correspondence", "defense-eq", "constructions"),
-                   default=["correspondence", "defense-eq", "constructions"])
+    p.add_argument("--checks", nargs="+", choices=tuple(CHECKS),
+                   default=list(CHECKS))
     # a run that checks nothing must not pass
     p.add_argument("--count", type=_integer(1, "a positive integer"),
                    default=20)
@@ -289,6 +289,10 @@ def main(argv=None):
     except (SolverError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"out of memory{detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -162,16 +162,13 @@ class CheckReport:
         return (f"{self.cases_run} checks, {len(self.failures)} failures, "
                 f"{len(self.skipped)} skipped")
 
-    def to_json(self):
-        return {
+    def dumps(self):
+        return json.dumps({
             "checks": [vars(it) for it in self.items],
             "cases_run": self.cases_run,
             "failures": len(self.failures),
             "skipped": len(self.skipped),
-        }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        }, indent=2, sort_keys=True)
 
 
 # -------------------------------------------------------- correspondence

@@ -26,8 +26,8 @@ names on one engine and one candidate join, which `stb` shares; `cf`
 alone joins apart. Unless `stb` is asked, a pBAF's join takes its
 premise tables and drops most non-exhaustive sets on the way. When every
 name is `co`, `gr` or `stb`, the join also takes the grounded core S*
-(`grounded_core`) and its range as fixed bits: each half holds S*'s bits
-of its factor and none of its range's. `decide`,
+(`grounded_core`) and its range: both restrictions are extra closure or
+range bits of each half, which the join's own tests enforce. `decide`,
 the one route from a request to an answer for every formalism, takes the
 frame, resolves the query on it and takes the family from `families`.
 `_subset_or`, the subset-OR transform of a uint32 table, serves only
@@ -37,7 +37,7 @@ against every needed mask at once and serves attacker-closure defense,
 pBAF exhaustiveness and the join's premise prefilter. `mask_text`, the
 one rendering routine, writes a family's text and JSON from the member
 text of each distinct mask half, built once and gathered for all masks
-at once; `mask_members` joins the same halves' member tuples, one
+at once; `mask_sets` joins the same halves' member tuples, one
 concatenation per mask.
 """
 from __future__ import annotations
@@ -138,19 +138,16 @@ class SubsetEngine:
         self.low = np.uint32((1 << self.lo) - 1)
         self.closures = closures
 
-    def _halves(self, masks):
-        return masks & self.low, masks >> np.uint32(self.lo)
-
     def range_of(self, masks):
         """The elements each set attacks."""
-        lo, hi = self._halves(masks)
-        return self.rng_lo[lo] | self.rng_hi[hi]
+        return (self.rng_lo[masks & self.low]
+                | self.rng_hi[masks >> np.uint32(self.lo)])
 
     def candidate_masks(self, needs=None, fixed=None):
         """Conflict-free closed sets, in ascending order; given a pBAF's
         `premise_tables`, only those that `_join` cannot prove
-        non-exhaustive; given fixed = (held, barred), only those holding
-        every bit of held and no other bit of barred."""
+        non-exhaustive; given fixed = (S*, rng(S*)) of `grounded_core`, only
+        those holding S* and avoiding rng(S*)."""
         return self._join(conflict_free=True, closed=True, needs=needs,
                           fixed=fixed)
 
@@ -177,8 +174,9 @@ class SubsetEngine:
         so the same tests drop most non-exhaustive sets, and
         `exhaustive_flags` is left the exact test on the few that pass.
         Given `fixed`, (S*, rng(S*)) of `grounded_core` when only `co`,
-        `gr` or `stb` is asked, a half also holds S*'s bits of its factor
-        and none of rng(S*)'s: the pairs are those of far fewer halves.
+        `gr` or `stb` is asked, S* joins each half's closure and rng(S*)
+        its range in the same way, so a passing set holds S* and avoids
+        rng(S*), and the pairs are those of far fewer halves.
         Halves and pairs are tested in blocks of at most JOIN_ENTRIES, so
         the temporaries stay small whatever the factors' sizes.
         """
@@ -271,16 +269,16 @@ def _factor_halves(rng, cl, shift, part, conflict_free, closed, needs=None,
                    fixed=None):
     """The halves of one factor (bits `part`, from bit `shift` up) that
     pass their own tests, with their bits and keys (see `_join`). Given
-    fixed = (held, barred), a half also holds held's bits of the factor and
-    no other bit of barred's."""
-    if fixed is not None:
-        held, barred = (np.uint32(x) & part for x in fixed)
+    fixed = (S*, rng(S*)), S* joins each half's closure and rng(S*) its
+    range, so the closed and conflict-free tests enforce them."""
     out = []
     for s in range(0, len(rng), JOIN_ENTRIES):
         r, c = rng[s:s + JOIN_ENTRIES], cl[s:s + JOIN_ENTRIES]
         half = np.arange(s, s + len(r), dtype=np.uint32) << np.uint32(shift)
         if needs is not None:  # E(half), within the n argument bits
             c = c | (np.uint32((1 << len(needs)) - 1) ^ _unmet(half, needs))
+        if fixed is not None:
+            c, r = c | np.uint32(fixed[0]), r | np.uint32(fixed[1])
         avoid = r & ~part if conflict_free else np.zeros_like(half)
         need = c & ~part if closed else np.zeros_like(half)
         keep = (avoid & need) == 0
@@ -288,8 +286,6 @@ def _factor_halves(rng, cl, shift, part, conflict_free, closed, needs=None,
             keep &= (r & half) == 0
         if closed:
             keep &= (c & part) == half
-        if fixed is not None:
-            keep &= (half & (held | barred)) == held
         out.append((half[keep], (avoid | need)[keep], (half | need)[keep]))
     return [np.concatenate(col) for col in zip(*out)]
 
@@ -599,7 +595,7 @@ def _dictionary_rank(masks, n):
 
 
 def _dictionary_order(masks, labels, order):
-    """The masks in the order `mask_members` lists them, and the labels in
+    """The masks in the order `mask_sets` lists them, and the labels in
     bit order: `order` moves bit order[j] of each mask to bit j."""
     masks = np.asarray(masks, dtype=np.uint32)
     if order is not None:
@@ -643,22 +639,12 @@ def _halves(values, units, empty):
             *_fragments(values >> h, units[h:], empty))
 
 
-def mask_members(masks, labels, order=None):
-    """The member tuples of the masks, bit i standing for labels[i]. Each
-    tuple lists its members in bit order and the tuples are in the
-    lexicographic order of these lists, a prefix first. `order`, when
-    given, is the bit order to use: a list of all bit indices. Each tuple
-    is one concatenation of its halves' member tuples."""
-    masks, labels = _dictionary_order(masks, labels, order)
-    lo_ids, lo, hi_ids, hi = _halves(masks, [(x,) for x in labels], ())
-    return (lo[lo_ids] + hi[hi_ids]).tolist()
-
-
 def mask_text(masks, labels, sep, between, order=None):
-    """between.join("[" + sep.join(m) + "]" for m in mask_members(masks,
-    labels, order)), for string labels, made without a string per mask:
-    the text of each distinct half is built once, and the halves of all
-    masks are gathered into one array of fragments and joined once."""
+    """between.join("[" + sep.join(m) + "]" for m in M), M the masks'
+    member tuples in `mask_sets` order (bits taken in `order`, a list of
+    all bit indices, when given), for string labels, made without a string
+    per mask: the text of each distinct half is built once, and the halves
+    of all masks are gathered into one array of fragments and joined once."""
     masks, labels = _dictionary_order(masks, labels, order)
     lo_ids, lo, hi_ids, hi = _halves(masks, [sep + x for x in labels], "")
     # every fragment starts with sep: the low half drops it after "[", and
@@ -678,8 +664,11 @@ def mask_text(masks, labels, sep, between, order=None):
 
 def mask_sets(masks, labels):
     """The frozensets of labels the masks stand for (bit i is labels[i]),
-    ordered by their sorted bit tuples, a prefix first."""
-    return [frozenset(t) for t in mask_members(masks, labels)]
+    ordered by their sorted bit tuples, a prefix first. Each set is made
+    from one concatenation of its halves' member tuples."""
+    masks, labels = _dictionary_order(masks, labels, None)
+    lo_ids, lo, hi_ids, hi = _halves(masks, [(x,) for x in labels], ())
+    return [frozenset(t) for t in (lo[lo_ids] + hi[hi_ids]).tolist()]
 
 
 def decide(frame, task, semantics, query=None, classic=False):

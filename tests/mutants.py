@@ -37,6 +37,7 @@ ATOMIC_TEST = ("tests/test_masks.py::"
                "test_the_atomic_engine_matches_the_general_one")
 INCLUSION_TEST = ("tests/test_inclusions.py::"
                   "test_each_row_that_fails_fails_on_its_witness")
+JOIN_TEST = "tests/test_masks.py::test_baf_join_matches_brute_force"
 
 MUTANTS = [
     # ABA defense counter-attacks the minimal sets deriving a contrary,
@@ -98,13 +99,36 @@ MUTANTS = [
      'want <= {"co", "gr", "stb"}',
      'want <= {"co", "gr", "pr", "stb"}',
      INCLUSION_TEST),
-    # the halves must hold S*'s bits but may meet rng(S*); a candidate
-    # holding S* is conflict-free and so avoids rng(S*) anyway: no output
-    # changes, the join only tests more pairs
+    # rng(S*) does not join the halves' range, so they must hold S*'s bits
+    # but may meet rng(S*); a candidate holding S* is conflict-free and so
+    # avoids rng(S*) anyway: no output changes, the join only tests more
+    # pairs
     ("bipolaraba/masks.py",
-     "(half & (held | barred)) == held",
-     "(half & held) == held",
+     ", r | np.uint32(fixed[1])",
+     ", r",
      CORE_TEST),
+    # the join's cross test flags the bits both keys hold, not the bits
+    # where they differ, so pairs that break closure or conflict-freeness
+    # pass and closed conflict-free pairs fail
+    ("bipolaraba/masks.py",
+     "hi_key[s:s + step, None] ^ lo_key",
+     "hi_key[s:s + step, None] & lo_key",
+     JOIN_TEST),
+    # the packed maximality route starts X[m] from S[m], some listed mask
+    # contains m, not from zeros, so each listed mask counts itself as a
+    # strict superset and none is kept
+    ("bipolaraba/masks.py",
+     "np.zeros_like(listed)",
+     "listed.copy()",
+     "tests/test_masks.py::"
+     "test_maximal_masks_match_the_definition_on_either_route"),
+    # forward chaining no longer re-queues the rules whose body a new
+    # derivation grows, so a rule skipped or applied before its body was
+    # complete derives too little
+    ("bipolaraba/masks.py",
+     "            todo.extend(u for u in users[h] if u not in todo)\n",
+     "",
+     "tests/test_masks.py::test_forward_chain_on_a_list_of_sets"),
     # skept-pbaf's t is not forced, so no admissible set must defend it
     # with npsi, and npsi is not skeptically accepted on an unsatisfiable
     # formula; the fuzz seeds 0-49 draw none

@@ -522,6 +522,17 @@ def test_reduce_output_is_pinned(capsys):
     replay(capsys, "reduce.out")
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("fuzz.out", ["--count", "20"]),
+    ("fuzz.json", ["--count", "3", "--format", "json"])])
+def test_fuzz_output_is_pinned(capsys, name, argv):
+    # every default check, with the guard messages of skipped frames; the
+    # CI step diffs the installed console script against the same files
+    code, out, _ = run(capsys, "fuzz", *argv)
+    assert code == 0
+    assert out == (DATA / name).read_text(encoding="utf-8")
+
+
 def test_co_gr_and_stb_tasks_are_pinned(capsys):
     # enumerate, cred, skept and ver under co, gr and stb on an ABA
     # framework, a pBAF and sat24.baf, the 24-argument sat-baf gadget of
@@ -624,6 +635,16 @@ def test_co_and_pr_on_24_atomic_assumptions_fit_in_memory(tmp_path):
         assert proc.stdout.count("\n") == count + 1
     # members in name order, so 10 comes before 3
     assert proc.stdout.startswith("[1,10,11,13,15,17,19,21,23,3,5,7]\n")
+
+
+def test_running_out_of_memory_is_one_line_and_exit_4(tmp_path):
+    # ad on an attack-free frame of 24 arguments joins all 2^24 sets, some
+    # 350 MB, which a 250 MB address space does not hold
+    proc = solve_capped(tmp_path, 24, 250 << 20, "--sigma", "ad", "--task",
+                        "cred", "--query", "0")
+    assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("out of memory")
 
 
 def test_maximality_over_all_two_to_the_24_masks_fits_in_memory():

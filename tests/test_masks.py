@@ -158,9 +158,29 @@ def baf_as_aba(baf):
     return AbaFramework(asm + con, asm, dict(zip(asm, con)), rules)
 
 
-# cf is left out: a BAF's conflict-free sets need not be closed, the
-# translation's must
+# cf is left out: neither side's conflict-free sets need be closed, and a
+# set that supports an attacker of its own member is conflict-free in the
+# BAF only (see the next test)
 TRANSLATED = ("ad", "co", "gr", "pr", "stb")
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 12), st.integers(0, 10 ** 6),
+       st.sampled_from([0.05, 0.15, 0.3]))
+def test_a_baf_and_its_aba_translation_have_the_same_closed_cf_sets(
+        n, seed, p_att):
+    # the translation attacks from the closure of a set, the BAF from the
+    # set alone: its cf is within the BAF's, and the two agree on the
+    # closed sets, where closure and set are one
+    baf = random_baf(n, seed, p_att=p_att, p_sup=p_att / 2)
+    aba = baf_as_aba(baf)
+    cf = set(masks.families(baf, ("cf",))["cf"].tolist())
+    closed = set(baf.engine().closed_masks().tolist())
+    for eng, got in ((aba.engine(), masks.families(aba, ("cf",))),
+                     (general_engine(aba), general_families(aba, ("cf",)))):
+        got = set(got["cf"].tolist())
+        assert got <= cf
+        assert got & set(eng.closed_masks().tolist()) == cf & closed
 
 
 @settings(deadline=None, max_examples=40)
@@ -315,6 +335,75 @@ def test_disjoint_blocks_give_product_families(seed):
         assert family(got) == want, sigma
 
 
+# --------------------------------------- metamorphic relations at n = 24
+
+def relabel(frame, perm):
+    """The BAF or pBAF with argument i renamed perm[i]."""
+    if isinstance(frame, Pbaf):
+        premises = [None] * len(perm)
+        for i, j in enumerate(perm):
+            premises[j] = frame.premises[i]
+        return Pbaf(relabel(frame.baf, perm), premises, frame.premise_bound)
+    return Baf(frame.n, [(perm[s], perm[t]) for s, t in frame.att],
+               [(perm[s], perm[t]) for s, t in frame.sup])
+
+
+def moved(found, perm):
+    """The masks with bit i moved to bit perm[i], in ascending order."""
+    out = np.zeros_like(found)
+    for i, j in enumerate(perm):
+        out |= (found >> np.uint32(i) & np.uint32(1)) << np.uint32(j)
+    return np.sort(out)
+
+
+def metamorphic_frame(n, seed):
+    """A BAF of n arguments: for seed 0, mutually attacking pairs as in
+    `pair_pbaf`, whose co and stb families are large, and an odd last
+    argument attacked by the first; else a random frame, sparse or
+    dense."""
+    if seed == 0:
+        pair = pair_pbaf(n // 2).baf
+        return Baf(n, pair.att + [(0, n - 1)] * (n % 2), pair.sup)
+    p_att = (0.05, 0.1, 0.25)[seed % 3]
+    return random_baf(n, seed, p_att=p_att, p_sup=p_att / 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabelling_maps_every_family_one_to_one(seed):
+    # a random permutation moves bits across the factor split, so the join
+    # pairs other halves; no oracle reaches 24 arguments
+    perm = random.Random(seed).sample(range(24), 24)
+    assert any((i < 12) != (j < 12) for i, j in enumerate(perm))
+    baf = metamorphic_frame(24, seed)
+    # without arguments of empty premises, which every exhaustive set
+    # must hold, a random pBAF keeps a nonempty ad family
+    pbaf = (pair_pbaf(12) if seed == 0 else
+            random_pbaf(24, seed, p_empty=0, p_att=0.05))
+    for frame in (baf, pbaf):
+        want = masks.families(frame, masks.SEMANTICS)
+        got = masks.families(relabel(frame, perm), masks.SEMANTICS)
+        for s in masks.SEMANTICS:
+            assert np.array_equal(np.sort(got[s]), moved(want[s], perm)), s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_isolated_argument_joins_every_extension(seed):
+    # x, unattacked and unsupported, is defended by every set and attacks
+    # nothing: co, pr and stb sets gain it, cf and ad sets come with and
+    # without it, and gr, the meet of co, gains it unless co is empty
+    frame = metamorphic_frame(23, seed)
+    want = masks.families(frame, masks.SEMANTICS)
+    got = masks.families(Baf(24, frame.att, frame.sup), masks.SEMANTICS)
+    x = np.uint32(1 << 23)
+    for s in ("co", "pr", "stb"):
+        assert np.array_equal(np.sort(got[s]), np.sort(want[s] | x)), s
+    for s in ("cf", "ad"):
+        both = np.concatenate([want[s], want[s] | x])
+        assert np.array_equal(np.sort(got[s]), np.sort(both)), s
+    gr = want["gr"] | x if len(want["co"]) else want["gr"]
+    assert got["gr"].tolist() == gr.tolist()
+
+
 def test_attack_free_frame_has_every_conflict_free_set(monkeypatch):
     monkeypatch.setattr(masks, "JOIN_ENTRIES", 1 << 10)  # 64 blocks of 4 x 256
     cf = baf_extensions(Baf(16, [], []), "cf")
@@ -367,7 +456,6 @@ def test_mask_text_renders_the_member_tuples(case):
     spots = sorted([j for j, i in enumerate(bit_order) if m >> i & 1]
                    for m in found.tolist())
     want = [tuple(labels[bit_order[j]] for j in js) for js in spots]
-    assert masks.mask_members(found, labels, order) == want
     encoded = [json.dumps(x) for x in labels]
     assert ("[" + masks.mask_text(found, encoded, ", ", ", ", order) + "]"
             == json.dumps(want))
@@ -804,18 +892,28 @@ def test_the_core_keeps_exactly_the_halves_and_candidates_that_fit_it(
         fits = plain[((plain & core) == core) & ((plain & out) == 0)]
         assert eng.candidate_masks(need, (core, out)).tolist() == fits.tolist()
         # a candidate holding S* is conflict-free, so it avoids rng(S*)
-        # anyway: only the halves show whether the join drops rng(S*)
+        # anyway: only the halves show whether the join drops rng(S*).
+        # S* in each half's closure and rng(S*) in its range keep a half
+        # that holds S*'s bits of its factor and none of rng(S*)'s, whose
+        # range misses S* and whose closure misses rng(S*) in the other
+        # factor; when S* attacks itself, no half is kept
         held, barred = np.uint32(core), np.uint32(out & ~core)
         for rng, cl, shift, part in (
                 (eng.rng_lo, eng.cl_lo, 0, eng.low),
                 (eng.rng_hi, eng.cl_hi, eng.lo, eng.full ^ eng.low)):
             args = (rng, cl, shift, part, True, True, need)
-            every = masks._factor_halves(*args)
-            fit = (every[0] & held) == (held & part)
-            fit &= (every[0] & barred) == 0
+            half, bits, key = masks._factor_halves(*args)
+            other = ~part
+            fit = (half & held) == (held & part)
+            fit &= (half & barred) == 0
+            fit &= (rng[half >> np.uint32(shift)] & held & other) == 0
+            fit &= (key & other & barred) == 0
+            fit &= (core & out) == 0
+            want = [half, bits | ((held | barred) & other),
+                    key | (held & other)]
             kept = masks._factor_halves(*args, (core, out))
             assert ([c.tolist() for c in kept]
-                    == [c[fit].tolist() for c in every])
+                    == [c[fit].tolist() for c in want])
 
 
 @core_cases
