@@ -148,28 +148,32 @@ def _integer(least=None, what="an integer"):
     return read
 
 
-# each check's reports on the frames drawn from one seed
+# each check's reports on one seed and the framework drawn from it
 CHECKS = {
-    "correspondence": lambda seed: [harness.check_correspondence(
-        harness.random_aba(harness.GenParams(seed=seed)),
-        label=f"seed={seed}")],
-    "defense-eq": lambda seed: [
+    "correspondence": lambda seed, frame: [harness.check_correspondence(
+        frame, label=f"seed={seed}")],
+    "defense-eq": lambda seed, frame: [
         harness.check_defense_equivalence(harness.random_baf(7, seed),
                                           label=f"baf-seed={seed}"),
-        harness.check_defense_equivalence(
-            harness.random_aba(harness.GenParams(seed=seed)),
-            label=f"aba-seed={seed}")],
-    "constructions": lambda seed: [harness.check_construction_lemmas(
+        harness.check_defense_equivalence(frame, label=f"aba-seed={seed}")],
+    "constructions": lambda seed, frame: [harness.check_construction_lemmas(
         harness.random_cnf(seed), label=f"seed={seed}")],
 }
 
 
 def run_fuzz(args):
+    """Each seed's `random_aba` framework is drawn once and goes to every
+    check, so its argument memo serves `correspondence` and `defense-eq`;
+    the report lists the checks in the order asked, each over all seeds."""
+    parts = [[] for _ in args.checks]
+    for seed in range(args.seed, args.seed + args.count):
+        frame = harness.random_aba(harness.GenParams(seed=seed))
+        for part, check in zip(parts, args.checks):
+            part += CHECKS[check](seed, frame)
     report = harness.CheckReport()
-    for check in args.checks:
-        for seed in range(args.seed, args.seed + args.count):
-            for part in CHECKS[check](seed):
-                report.extend(part)
+    for part in parts:
+        for rep in part:
+            report.extend(rep)
     if args.format == "json":
         print(report.dumps())
     else:

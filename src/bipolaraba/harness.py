@@ -10,22 +10,31 @@ Three families of checks:
 
 A case that trips a size guard or the argument cap is recorded as
 skipped, with the guard's message, never silently dropped.
+
+The checks compare uint32 masks from `masks.families`, never sets of
+labels: the correspondence maps families across with each argument's
+support as an assumption mask and tests membership with `np.isin`, and
+the gadget lemmas test the bits of the arguments they name. Only the
+first offending set of a failed check is turned into names. The `fuzz`
+verb draws each seed's `random_aba` framework once and hands it to
+`check_correspondence` and `check_defense_equivalence`, which share its
+argument memo.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, compress, product
+from itertools import combinations, product
 
 import numpy as np
 
 from .aba import AbaFramework, attacker_closures, enumerate_arguments
-from .baf import Baf, Pbaf, baf_closure, baf_extensions, pbaf_extensions
+from .baf import Baf, Pbaf
 from .errors import CapExceeded, TooLarge
-from .instantiate import (arguments_for, assumptions_of, instantiate_pbaf,
-                          is_assumption_exhaustive)
-from .masks import _check_size, _unmet, closed_set_gamma, families, mask_sets
+from .instantiate import instantiate_pbaf
+from .masks import (_check_size, _dictionary_rank, _or_map, _unmet,
+                    closed_set_gamma, families, row_masks, single_closures)
 from .reductions import (Cnf, brute_force_sat, construct_gr_baf,
                          construct_sat_baf, construct_skept_baf,
                          construct_skept_pbaf)
@@ -177,9 +186,38 @@ def _fmt_asm(s):
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def _family_sets(frame, names, labels):
-    """Each named extension family of the frame as frozensets of labels."""
-    return {s: mask_sets(m, labels) for s, m in families(frame, names).items()}
+def _first(masks, n):
+    """The index of the mask listed first by the sorted tuples of its n
+    bits, the order `mask_sets` lists a family in."""
+    return int(np.argmin(_dictionary_rank(masks, n)))
+
+
+class _SupportMaps:
+    """The arguments of an instantiation as masks over the assumptions of
+    its source, bit i being assumption i: `forward` takes graph extensions
+    to the union of their members' supports (`assumptions_of`),
+    `backward` assumption sets to the arguments whose support lies inside
+    them (`arguments_for`), and `exhaustive` tests each graph extension
+    for holding every argument its own assumptions build
+    (`is_assumption_exhaustive`), all on uint32 arrays of masks."""
+
+    def __init__(self, inst):
+        frame = inst.source
+        self.full = np.uint32((1 << len(frame.assumptions)) - 1)
+        support = [sum(1 << frame.resolve(a) for a in arg.support)
+                   for arg in inst.arguments]
+        self.needs = [[m] for m in support]
+        self.forward = _or_map(support)
+
+    def backward(self, sets):
+        """The arguments whose support misses every assumption outside
+        each set, by `_unmet`, which tests blocks of at most JOIN_ENTRIES
+        sets at once."""
+        return _unmet(self.full ^ sets, self.needs)
+
+    def exhaustive(self, ext):
+        """Does each extension equal backward(forward(extension))?"""
+        return self.backward(self.forward(ext)) == ext
 
 
 def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
@@ -190,52 +228,61 @@ def check_correspondence(frame: AbaFramework, cap=CHECK_ARGUMENT_CAP,
     for ad/co/gr/stb. With premise labels: both directions for all five
     semantics. The grounded convention (empty family of complete sets
     yields the empty grounded member) is checked for consistency instead of
-    being pushed through the argument mapping.
+    being pushed through the argument mapping. Families stay uint32 masks
+    (`_SupportMaps` maps them across and `np.isin` tests membership); only
+    the first offending set of a failed check, in `mask_sets` order, is
+    turned into names.
     """
     rep = CheckReport()
     names = ("ad", "co", "gr", "pr", "stb")
 
+    def fmt(m):
+        return _fmt_asm(a for i, a in enumerate(frame.assumptions) if m >> i & 1)
+
     def run_side(side, family, compared, forward_list):
         for sem in compared:
             if sem == "gr" and co_d_empty:
-                agree = (d_family["gr"] == [frozenset()]
-                         and family["gr"] == [frozenset()]
-                         and not family["co"])
+                agree = (d_family["gr"].tolist() == [0]
+                         and family["gr"].tolist() == [0]
+                         and not len(family["co"]))
                 rep.add(f"{side}-gr-convention", label, agree,
                         "" if agree else "empty-complete conventions disagree")
                 continue
             if sem in forward_list:
-                bad = [e for e in family[sem]
-                       if assumptions_of(inst, e) not in d_family[sem]]
-                rep.add(f"{side}-{sem}-forward", label, not bad,
-                        "" if not bad
+                ext = family[sem]
+                image = maps.forward(ext)
+                bad = ~np.isin(image, d_family[sem])
+                rep.add(f"{side}-{sem}-forward", label, not bad.any(),
+                        "" if not bad.any()
                         else f"graph extension maps outside: "
-                             f"{_fmt_asm(assumptions_of(inst, bad[0]))}")
-            bad = [s for s in d_family[sem]
-                   if arguments_for(inst, s) not in family[sem]]
-            rep.add(f"{side}-{sem}-backward", label, not bad,
-                    "" if not bad else f"no graph extension for {_fmt_asm(bad[0])}")
+                             f"{fmt(image[bad][_first(ext[bad], n)])}")
+            bad = d_family[sem][~np.isin(back[sem], family[sem])]
+            rep.add(f"{side}-{sem}-backward", label, not len(bad),
+                    "" if not len(bad)
+                    else f"no graph extension for {fmt(bad[_first(bad, k)])}")
 
     try:
         # the engine's own guard, before the graph is built and solved
         _check_size("argument count", len(enumerate_arguments(frame, cap)))
         inst = instantiate_pbaf(frame, cap)
-        d_family = _family_sets(frame, names, frame.assumptions)
-        co_d_empty = not d_family["co"]
+        n, k = inst.baf.n, len(frame.assumptions)
+        maps = _SupportMaps(inst)
+        d_family = families(frame, names)
+        back = {sem: maps.backward(sets) for sem, sets in d_family.items()}
+        co_d_empty = not len(d_family["co"])
         compared = ("ad", "co", "gr", "stb")
-        family = _family_sets(inst.baf, compared, range(inst.baf.n))
+        family = families(inst.baf, compared)
         run_side("baf", family, compared, ("co", "gr", "stb"))
-        exhaustive_bad = [e for sem in ("co", "stb") for e in family[sem]
-                          if not is_assumption_exhaustive(inst, e)]
-        rep.add("baf-co-stb-exhaustive", label, not exhaustive_bad)
-        family = _family_sets(inst.pbaf, names, range(inst.baf.n))
+        rep.add("baf-co-stb-exhaustive", label,
+                all(maps.exhaustive(family[sem]).all() for sem in ("co", "stb")))
+        family = families(inst.pbaf, names)
         run_side("pbaf", family, names, names)
+        closure = maps.forward(np.array(single_closures(n, inst.baf.sup),
+                                        dtype=np.uint32))
         th = frame._theories([a.support for a in inst.arguments])
-        cl_bad = [str(a) for i, a in enumerate(inst.arguments)
-                  if assumptions_of(inst, baf_closure(inst.baf, {i}))
-                  != frozenset(compress(frame.assumptions, th[:, i]))]
-        rep.add("single-argument-closure", label, not cl_bad,
-                "" if not cl_bad else cl_bad[0])
+        cl_bad = np.flatnonzero(closure != row_masks(th[:k]))
+        rep.add("single-argument-closure", label, not len(cl_bad),
+                "" if not len(cl_bad) else str(inst.arguments[cl_bad[0]]))
     except (TooLarge, CapExceeded) as exc:
         rep.skip("correspondence", label, str(exc))
     return rep
@@ -290,7 +337,9 @@ def check_defense_equivalence(frame, label="",
 # ------------------------------------------------------------ constructions
 
 def check_construction_lemmas(cnf: Cnf, label="") -> CheckReport:
-    """All four gadgets on one formula, against the brute-force verdict."""
+    """All four gadgets on one formula, against the brute-force verdict.
+    Each family stays uint32 masks from `families`, and each lemma tests
+    the bits of the arguments it names on the whole family at once."""
     rep = CheckReport()
     try:
         sat = brute_force_sat(cnf)
@@ -298,57 +347,56 @@ def check_construction_lemmas(cnf: Cnf, label="") -> CheckReport:
         rep.skip("constructions", label, str(exc))
         return rep
 
-    def names_of(frame, ext):
-        return {frame.names[i] for i in ext}
+    def bits(frame, *names):
+        return np.uint32(sum(1 << frame.resolve(x) for x in names))
 
     try:
         frame = construct_sat_baf(cnf)
-        co = baf_extensions(frame, "co")
-        rep.add("sat-baf-nonempty-iff-sat", label, bool(co) == sat,
+        co = families(frame, ("co",))["co"]
+        rep.add("sat-baf-nonempty-iff-sat", label, (len(co) > 0) == sat,
                 f"sat={sat} extensions={len(co)}")
+        top_phi = bits(frame, "top", "phi")
         rep.add("sat-baf-top-phi", label,
-                all({"top", "phi"} <= names_of(frame, e) for e in co))
+                bool(np.all((co & top_phi) == top_phi)))
     except TooLarge as exc:
         rep.skip("sat-baf", label, str(exc))
 
     try:
         frame = construct_gr_baf(cnf)
-        gr = baf_extensions(frame, "gr")
-        want = {"top", "phi"} if sat else set()
-        rep.add("gr-baf-grounded", label,
-                len(gr) == 1 and names_of(frame, gr[0]) == want,
-                f"got {sorted(names_of(frame, gr[0]))}")
+        gr = int(families(frame, ("gr",))["gr"][0])
+        want = bits(frame, "top", "phi") if sat else 0
+        got = sorted(x for i, x in enumerate(frame.names) if gr >> i & 1)
+        rep.add("gr-baf-grounded", label, gr == want, f"got {got}")
     except TooLarge as exc:
         rep.skip("gr-baf", label, str(exc))
 
     try:
         frame = construct_skept_baf(cnf)
-        co = baf_extensions(frame, "co")
+        co = families(frame, ("co",))["co"]
         rep.add("skept-baf-count", label, len(co) == 2 ** cnf.n_vars,
                 f"{len(co)} complete vs {2 ** cnf.n_vars} assignments")
-        npsi = frame.resolve("npsi")
+        npsi = bits(frame, "npsi")
         rep.add("skept-baf-npsi-iff-unsat", label,
-                all(npsi in e for e in co) == (not sat))
-        shape_ok = True
-        for e in co:
-            got = names_of(frame, e)
-            for i in range(1, cnf.n_vars + 1):
-                if f"top{i}" not in got or f"d{i}" not in got:
-                    shape_ok = False
-                if (f"x{i}" in got) + (f"nx{i}" in got) != 1:
-                    shape_ok = False
-        rep.add("skept-baf-shape", label, shape_ok)
+                bool(np.all(co & npsi)) == (not sat))
+        # every set holds top_i and d_i, and x_i or nx_i but not both
+        variables = range(1, cnf.n_vars + 1)
+        fixed = bits(frame, *(f"{p}{i}" for i in variables for p in ("top", "d")))
+        x, nx = (np.array([frame.resolve(f"{p}{i}") for i in variables],
+                          dtype=np.uint32) for p in ("x", "nx"))
+        one_literal = ((co[:, None] >> x) ^ (co[:, None] >> nx)) & 1
+        rep.add("skept-baf-shape", label,
+                bool(np.all((co & fixed) == fixed) and one_literal.all()))
     except TooLarge as exc:
         rep.skip("skept-baf", label, str(exc))
 
     try:
         pframe = construct_skept_pbaf(cnf)
-        ad = pbaf_extensions(pframe, "ad")
+        ad = families(pframe, ("ad",))["ad"]
         rep.add("skept-pbaf-admissible-exist", label,
-                bool(ad) and frozenset() not in ad, f"{len(ad)} admissible")
-        npsi = pframe.baf.resolve("npsi")
+                len(ad) > 0 and 0 not in ad, f"{len(ad)} admissible")
+        npsi = bits(pframe, "npsi")
         rep.add("skept-pbaf-npsi-iff-unsat", label,
-                all(npsi in e for e in ad) == (not sat))
+                bool(np.all(ad & npsi)) == (not sat))
     except TooLarge as exc:
         rep.skip("skept-pbaf", label, str(exc))
     return rep

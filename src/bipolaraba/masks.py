@@ -12,18 +12,19 @@ For BAFs the range and closure distribute over set union (support is
 deductive), so the bits split in halves and no table over all 2^n sets
 is built: each factor table of 2^(n/2) entries is filled with a doubling
 trick, the table for masks containing element k being the table without
-k OR-ed with k's own row. An ABA theory need not distribute over union,
-so `aba_engine` puts every bit in the low factor, whose tables are
-projections of a theory table over all assumption masks, and leaves the
-high factor empty. `forward_chain`, the one forward-chaining routine,
-fills that table block by block and serves any list of assumption sets.
-When every rule body has at most one atom (an atomic framework), the
-theory of a set is that of the empty set joined with those of its
-members, so `atomic_aba_engine` splits the bits in halves as for a BAF,
-from one forward chain over the singletons and the empty set.
-`families`, the one route from a frame to extension masks, runs any
-names on one engine and one candidate join, which `stb` shares; `cf`
-alone joins apart. Unless `stb` is asked, a pBAF's join takes its
+k OR-ed with k's own row, and one pass of it (`_factor_tables`) fills
+the range and closure tables of both factors. An ABA theory need not
+distribute over union, so `aba_engine` puts every bit in the low factor,
+whose tables are projections of a theory table over all assumption
+masks, and leaves the high factor empty. `forward_chain`, the one
+forward-chaining routine, fills that table block by block and serves any
+list of assumption sets. When every rule body has at most one atom (an
+atomic framework), the theory of a set is that of the empty set joined
+with those of its members, so `atomic_aba_engine` splits the bits in
+halves as for a BAF, from one forward chain over the singletons and the
+empty set. `families`, the one route from a frame to extension masks,
+runs any names on one engine and one candidate join, which `stb` shares;
+`cf` alone joins apart. Unless `stb` is asked, a pBAF's join takes its
 premise tables and drops most non-exhaustive sets on the way. When every
 name is `co`, `gr` or `stb`, the join also takes the grounded core S*
 (`grounded_core`) and its range: both restrictions are extra closure or
@@ -66,17 +67,35 @@ JOIN_ENTRIES = 1 << 17
 
 
 def or_table(n, rows):
-    """out[m] = OR of rows[k] over the bits k set in m."""
-    out = np.zeros(1 << n, dtype=np.uint32)
+    """out[..., m] = OR of rows[..., k] over the bits k set in m. rows is
+    one list of n rows, or several stacked (shape (lists, n)), which one
+    doubling pass fills together: one numpy operation per bit."""
     rows = np.asarray(rows, dtype=np.uint32)
+    out = np.zeros(rows.shape[:-1] + (1 << n,), dtype=np.uint32)
     for k in range(n):
-        out[1 << k: 2 << k] = out[: 1 << k] | rows[k]
+        out[..., 1 << k: 2 << k] = out[..., : 1 << k] | rows[..., k, None]
     return out
 
 
-def _factor_tables(n, lo, rows):
-    """or_table of the rows of bits 0..lo-1 and of bits lo..n-1."""
-    return or_table(lo, rows[:lo]), or_table(n - lo, rows[lo:])
+def _factor_tables(n, lo, *lists):
+    """For each list of n rows, the or_table of its rows of bits 0..lo-1
+    and that of its rows of bits lo..n-1, all from one `or_table` pass:
+    with lo <= n - lo, a low factor's rows are padded with zeros to n - lo
+    and its table is the first 2^lo entries."""
+    rows = np.zeros((len(lists), 2, n - lo), dtype=np.uint32)
+    for r, row_list in zip(rows, lists):
+        r[0, :lo] = row_list[:lo]
+        r[1] = row_list[lo:]
+    return [(t[0, :1 << lo], t[1]) for t in or_table(n - lo, rows)]
+
+
+def _or_map(rows):
+    """The map taking an array of masks to the OR of rows[k] over the bits
+    k of each: one lookup in the or_table of each half of the rows."""
+    h = len(rows) // 2
+    (lo, hi), = _factor_tables(len(rows), h, rows)
+    low, shift = np.uint32((1 << h) - 1), np.uint32(h)
+    return lambda masks: lo[masks & low] | hi[masks >> shift]
 
 
 def single_closures(n, sup_pairs):
@@ -302,9 +321,8 @@ def baf_engine(n, att_pairs, sup_pairs):
     for s, t in att_pairs:
         att_rows[s] |= 1 << t
         closures[t].append(cl1[s])
-    lo = n // 2
-    return SubsetEngine(n, _factor_tables(n, lo, att_rows),
-                        _factor_tables(n, lo, cl1), closures)
+    rng, cl = _factor_tables(n, n // 2, att_rows, cl1)
+    return SubsetEngine(n, rng, cl, closures)
 
 
 def forward_chain(th, rules):
@@ -417,8 +435,7 @@ def atomic_aba_engine(k, n_atoms, rules, contrary):
     forward_chain(th, rules)
     cl1, rng1 = row_masks(th[:k]), row_masks(th[contrary])
     cl0, rng0 = cl1.pop(), rng1.pop()
-    cl_lo, cl_hi = _factor_tables(k, k // 2, cl1)
-    rng_lo, rng_hi = _factor_tables(k, k // 2, rng1)
+    (cl_lo, cl_hi), (rng_lo, rng_hi) = _factor_tables(k, k // 2, cl1, rng1)
     cl_lo |= np.uint32(cl0)
     rng_lo |= np.uint32(rng0)
     closures = [[cl0] if rng0 >> a & 1 else
@@ -602,9 +619,7 @@ def _dictionary_order(masks, labels, order):
         rows = [0] * len(order)  # rows[i]: where bit i goes
         for j, i in enumerate(order):
             rows[i] = 1 << j
-        h = len(order) // 2
-        lo, hi = _factor_tables(len(order), h, rows)
-        masks = lo[masks & np.uint32((1 << h) - 1)] | hi[masks >> np.uint32(h)]
+        masks = _or_map(rows)(masks)
         labels = [labels[i] for i in order]
     rank = _dictionary_rank(masks, len(labels))
     return masks[np.argsort(rank, kind="stable")], labels

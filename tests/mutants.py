@@ -38,6 +38,7 @@ ATOMIC_TEST = ("tests/test_masks.py::"
 INCLUSION_TEST = ("tests/test_inclusions.py::"
                   "test_each_row_that_fails_fails_on_its_witness")
 JOIN_TEST = "tests/test_masks.py::test_baf_join_matches_brute_force"
+SUPPORT_TEST = "tests/test_harness.py::test_support_maps_match_the_set_helpers"
 
 MUTANTS = [
     # ABA defense counter-attacks the minimal sets deriving a contrary,
@@ -142,6 +143,24 @@ MUTANTS = [
      '("bot", "bot"), ',
      "",
      "tests/test_reductions.py::test_skept_baf_shape"),
+    # the correspondence check's backward map keeps the arguments whose
+    # support meets nothing inside the assumption set, not nothing outside
+    ("bipolaraba/harness.py",
+     "_unmet(self.full ^ sets, self.needs)",
+     "_unmet(sets, self.needs)",
+     "tests/test_harness.py::test_support_maps_on_a_large_family"),
+    # the forward map drops the last argument's support, so an extension
+    # holding it maps to too few assumptions
+    ("bipolaraba/harness.py",
+     "_or_map(support)",
+     "_or_map(support[:-1] + [0])",
+     SUPPORT_TEST),
+    # sat-baf's top/phi lemma asks some complete set, not every one, to
+    # hold top and phi, so it fails where there is no complete set
+    ("bipolaraba/harness.py",
+     "np.all((co & top_phi) == top_phi)",
+     "np.any((co & top_phi) == top_phi)",
+     "tests/test_harness.py::test_construction_lemmas_on_pinned_formulas"),
     # sat-baf's clauses attack top instead of phi
     ("bipolaraba/reductions.py",
      'return _gadget(cnf, "phi", tail',

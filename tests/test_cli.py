@@ -524,7 +524,10 @@ def test_reduce_output_is_pinned(capsys):
 
 @pytest.mark.parametrize("name, argv", [
     ("fuzz.out", ["--count", "20"]),
-    ("fuzz.json", ["--count", "3", "--format", "json"])])
+    ("fuzz.json", ["--count", "3", "--format", "json"]),
+    # a graph whose ad family holds 16,417 sets
+    ("fuzz_large.json", ["--seed", "771069229", "--count", "1",
+                         "--format", "json"])])
 def test_fuzz_output_is_pinned(capsys, name, argv):
     # every default check, with the guard messages of skipped frames; the
     # CI step diffs the installed console script against the same files

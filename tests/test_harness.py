@@ -2,14 +2,17 @@ import inspect
 import json
 import time
 
+import numpy as np
 import pytest
 
 from bipolaraba import (AbaFramework, Baf, CapExceeded, CheckReport, Cnf,
-                        GenParams, TooLarge, aba_defends, baf_defends,
+                        GenParams, TooLarge, aba_defends, arguments_for,
+                        assumptions_of, baf_defends,
                         check_construction_lemmas, check_correspondence,
                         check_defense_equivalence, brute_force_sat,
-                        enumerate_arguments, instantiate_baf, random_aba,
-                        random_baf, random_cnf, random_pbaf)
+                        enumerate_arguments, instantiate_baf,
+                        instantiate_pbaf, is_assumption_exhaustive,
+                        random_aba, random_baf, random_cnf, random_pbaf)
 from bipolaraba.aba import attacker_closures
 from bipolaraba import harness, masks
 from bipolaraba.harness import exhaustive_three_var_cnfs
@@ -234,6 +237,110 @@ def test_correspondence_fuzz_batch():
         ran += rep.cases_run
     assert failures == []
     assert ran > 100
+
+
+def assert_support_maps_match(frame, graph_masks):
+    """The harness's forward, exhaustive and backward maps against
+    assumptions_of, is_assumption_exhaustive and arguments_for, set by
+    set: forward and exhaustive on the graph masks, backward on every
+    assumption set."""
+    inst = instantiate_pbaf(frame)
+    maps = harness._SupportMaps(inst)
+
+    def members(mask, labels):
+        return {x for i, x in enumerate(labels) if mask >> i & 1}
+
+    args, asm = range(inst.baf.n), frame.assumptions
+    ext = np.asarray(graph_masks, dtype=np.uint32)
+    for m, image, exhaustive in zip(ext.tolist(), maps.forward(ext).tolist(),
+                                    maps.exhaustive(ext).tolist()):
+        assert members(image, asm) == assumptions_of(inst, members(m, args))
+        assert exhaustive == is_assumption_exhaustive(inst, members(m, args))
+    sets = np.arange(1 << len(asm), dtype=np.uint32)
+    for s, back in zip(sets.tolist(), maps.backward(sets).tolist()):
+        assert members(back, args) == arguments_for(inst, members(s, asm))
+
+
+def test_support_maps_match_the_set_helpers():
+    # every graph set of the small random instantiations, and the families
+    # of the graph, where exhaustive sets are the rule
+    checked = 0
+    for seed in range(100):
+        frame = random_aba(GenParams(seed=seed))
+        try:
+            n = len(enumerate_arguments(frame, 12))
+        except CapExceeded:
+            continue
+        graph = instantiate_pbaf(frame).baf
+        found = masks.families(graph, ("ad", "co", "stb"))
+        assert_support_maps_match(
+            frame, np.concatenate([np.arange(1 << n), *found.values()]))
+        checked += 1
+    assert checked >= 15
+
+
+def test_support_maps_on_a_large_family():
+    # the graph's ad family holds 16,417 sets
+    frame = random_aba(GenParams(seed=771069229))
+    ad = masks.families(instantiate_pbaf(frame).baf, ("ad",))["ad"]
+    assert len(ad) == 16417
+    assert_support_maps_match(frame, ad)
+
+
+def _drop_graph_co(frame, out):
+    if isinstance(frame, Baf):
+        out["co"] = out["co"][:-1]
+
+
+def _add_aba_ad(frame, out):
+    if isinstance(frame, AbaFramework):
+        out["ad"] = np.append(out["ad"], np.uint32(0b1111))
+
+
+def _keep_middle_aba_co(frame, out):
+    if isinstance(frame, AbaFramework):
+        out["co"] = out["co"][1:2]
+
+
+def _empty_aba_co(frame, out):
+    if isinstance(frame, AbaFramework):
+        out["co"] = out["co"][:0]
+
+
+@pytest.mark.parametrize("frame, edit, want", [
+    # the graph's co set of {a,c,d} is gone
+    (build_ex22(), _drop_graph_co,
+     [("baf-co-backward", "no graph extension for {a,c,d}")]),
+    # {a,b,c,d} is no admissible set of ex22
+    (build_ex22(), _add_aba_ad,
+     [("baf-ad-backward", "no graph extension for {a,b,c,d}"),
+      ("pbaf-ad-backward", "no graph extension for {a,b,c,d}")]),
+    # co is {}, {s1,s3,s4} and {s2,s5}; two graph extensions map outside
+    # {s1,s3,s4}, and the detail names the first in the order of their
+    # sorted member tuples, not the first mask
+    (random_aba(GenParams(seed=193)), _keep_middle_aba_co,
+     [("baf-co-forward", "graph extension maps outside: {s2,s5}"),
+      ("pbaf-co-forward", "graph extension maps outside: {s2,s5}")]),
+    # no complete assumption set, yet a grounded one and complete graph
+    # extensions
+    (build_ex22(), _empty_aba_co,
+     [("baf-co-forward", "graph extension maps outside: {a,c,d}"),
+      ("baf-gr-convention", "empty-complete conventions disagree"),
+      ("pbaf-co-forward", "graph extension maps outside: {a,c,d}"),
+      ("pbaf-gr-convention", "empty-complete conventions disagree")])])
+def test_correspondence_failure_reports(monkeypatch, frame, edit, want):
+    real = harness.families
+
+    def edited(fr, names):
+        out = real(fr, names)
+        edit(fr, out)
+        return out
+
+    monkeypatch.setattr(harness, "families", edited)
+    rep = check_correspondence(frame, label="x")
+    assert [(it.check, it.case, it.detail) for it in rep.failures] == \
+        [(check, "x", detail) for check, detail in want]
+    assert rep.skipped == []
 
 
 # ------------------------------------------------------ defense equivalence

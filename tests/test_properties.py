@@ -209,16 +209,23 @@ def test_premises_do_not_touch_cf_and_stb(pframe):
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_or_table_unions_rows(data):
+    # several row lists stacked, filled in one pass: each list's table is
+    # the one it gets alone
     n = data.draw(st.integers(0, 8))
-    rows = np.array([data.draw(st.integers(0, 2 ** 16 - 1))
-                     for _ in range(n)], dtype=np.uint32)
-    table = or_table(n, rows)
-    for m in (0, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))):
-        want = 0
-        for i in range(n):
-            if m >> i & 1:
-                want |= int(rows[i])
-        assert int(table[m]) == want
+    stacked = np.array([[data.draw(st.integers(0, 2 ** 16 - 1))
+                         for _ in range(n)]
+                        for _ in range(data.draw(st.integers(1, 3)))],
+                       dtype=np.uint32)
+    tables = or_table(n, stacked)
+    assert tables.shape == (len(stacked), 1 << n)
+    for rows, table in zip(stacked, tables):
+        assert np.array_equal(or_table(n, rows), table)
+        for m in (0, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))):
+            want = 0
+            for i in range(n):
+                if m >> i & 1:
+                    want |= int(rows[i])
+            assert int(table[m]) == want
 
 
 @settings(deadline=None, max_examples=30)
