@@ -100,9 +100,9 @@ class AbaFramework:
                 f"{len(self.assumptions)} assumptions, {len(self.rules)} rules)")
 
     def engine(self):
-        """The subset engine over all assumption sets: the two-factor
-        `atomic_aba_engine` when every rule body has at most one atom,
-        else `aba_engine` over the theory of every assumption mask."""
+        """The subset engine over all assumption sets: `atomic_aba_engine`, a
+        `row_engine`, when every rule body has at most one atom, else
+        `aba_engine` over the theory of every assumption mask."""
         atomic = all(len(set(body)) < 2 for _, body in self._rules_ix)
         build = masks.atomic_aba_engine if atomic else masks.aba_engine
         return build(len(self.assumptions), len(self.atoms), self._rules_ix,

@@ -8,21 +8,19 @@ A set's range and closure are the OR of those of its two halves. Every
 semantics is a filter over the join of the two factors, the same for
 both formalisms; only the builders differ.
 
-For BAFs the range and closure distribute over set union (support is
-deductive), so the bits split in halves and no table over all 2^n sets
-is built: each factor table of 2^(n/2) entries is filled with a doubling
-trick, the table for masks containing element k being the table without
-k OR-ed with k's own row, and one pass of it (`_factor_tables`) fills
-the range and closure tables of both factors. An ABA theory need not
-distribute over union, so `aba_engine` puts every bit in the low factor,
-whose tables are projections of a theory table over all assumption
-masks, and leaves the high factor empty. `forward_chain`, the one
-forward-chaining routine, fills that table block by block and serves any
-list of assumption sets. When every rule body has at most one atom (an
-atomic framework), the theory of a set is that of the empty set joined
-with those of its members, so `atomic_aba_engine` splits the bits in
-halves as for a BAF, from one forward chain over the singletons and the
-empty set. `families`, the one route from a frame to extension masks,
+Where range and closure distribute over set union, in a BAF (support is
+deductive) and an atomic ABA framework (no rule body of two atoms),
+`row_engine`, the one two-factor builder, takes them from per-element
+rows and no table over all 2^n sets is built: each factor table of
+2^(n/2) entries is filled with a doubling trick, the table for masks
+containing element k being the table without k OR-ed with k's own row,
+and one pass of it (`_factor_tables`) fills the range and closure
+tables of both factors. Other ABA theories need not distribute over
+union, so `aba_engine` puts every bit in the low factor, whose tables
+are projections of a theory table over all assumption masks, and leaves
+the high factor empty. `forward_chain`, the one forward-chaining routine,
+fills that table block by block and serves any list of assumption
+sets. `families`, the one route from a frame to extension masks,
 runs any names on one engine and one candidate join, which `stb` shares;
 `cf` alone joins apart. Unless `stb` is asked, a pBAF's join takes its
 premise tables and drops most non-exhaustive sets on the way. When every
@@ -311,18 +309,33 @@ def _factor_halves(rng, cl, shift, part, conflict_free, closed, needs=None,
 
 # ---------------------------------------------------------------- builders
 
+def row_engine(n, rng1, cl1, rng0=0, cl0=0):
+    """Engine over n elements whose range and closure distribute over union:
+    a set's are the OR of the empty set's rows rng0 and cl0 and of rng1[b]
+    and cl1[b] over its members b. closures[a] lists the sorted distinct
+    closures of the minimal sets whose range holds a: ∅ if rng0 does, else
+    each {b} with a in rng1[b]."""
+    (rng_lo, rng_hi), (cl_lo, cl_hi) = _factor_tables(n, n // 2, rng1, cl1)
+    rng_lo |= np.uint32(rng0)
+    cl_lo |= np.uint32(cl0)
+    attackers = [set() for _ in range(n)]  # cl1[b] for each b attacking a
+    for c, r in zip(cl1, rng1):
+        while r:
+            attackers[(r & -r).bit_length() - 1].add(c)
+            r &= r - 1
+    closures = [[cl0] if rng0 >> a & 1 else sorted(cs)
+                for a, cs in enumerate(attackers)]
+    return SubsetEngine(n, (rng_lo, rng_hi), (cl_lo, cl_hi), closures)
+
+
 def baf_engine(n, att_pairs, sup_pairs):
-    """Engine over the arguments of a BAF: defending a means attacking the
-    support closure of every attacker of a."""
+    """`row_engine` of a BAF: an argument's rows are its attacks and its
+    support closure."""
     _check_size("argument count", n)
-    cl1 = single_closures(n, sup_pairs)
     att_rows = [0] * n
-    closures = [[] for _ in range(n)]
     for s, t in att_pairs:
         att_rows[s] |= 1 << t
-        closures[t].append(cl1[s])
-    rng, cl = _factor_tables(n, n // 2, att_rows, cl1)
-    return SubsetEngine(n, rng, cl, closures)
+    return row_engine(n, att_rows, single_closures(n, sup_pairs))
 
 
 def forward_chain(th, rules):
@@ -412,36 +425,22 @@ def aba_engine(k, n_atoms, rules, contrary):
     derivers = np.flatnonzero(minimal_for)
     targets = minimal_for[derivers]
     del minimal_for  # a full table, freed before the engine's own
-    closures = [np.unique(cl[derivers[(targets >> np.uint32(a)) & 1 == 1]]).tolist()
+    closures = [sorted(set(cl[derivers[(targets >> np.uint32(a)) & 1 == 1]].tolist()))
                 for a in range(k)]
     empty = np.zeros(1, dtype=np.uint32)  # the high factor: no bits
     return SubsetEngine(k, (rng, empty), (cl, empty), closures)
 
 
 def atomic_aba_engine(k, n_atoms, rules, contrary):
-    """`aba_engine` of an atomic framework, every rule body at most one
-    atom (facts allowed), without the 2^k theory table.
-
-    A derivation is then a chain, so Th(S) is Th(∅) joined with Th({b})
-    over the members b of S: closure and range distribute over union, as
-    in a BAF. One `forward_chain` over k + 1 columns, {j} for j < k and
-    ∅ last, gives each assumption's rows and the constant rows of ∅, which
-    every low half takes. The minimal derivers of a contrary are ∅ when ∅
-    derives it, else the singletons {b} whose theory holds it.
-    """
+    """`aba_engine` of an atomic framework (no rule body of two atoms) as a
+    `row_engine`: derivations are chains, so Th(S) is Th(∅) joined with the
+    Th({b}), b in S, all from one `forward_chain` over {j}, j < k, and ∅."""
     _check_size("assumption count", k)
     th = np.zeros((n_atoms, k + 1), dtype=bool)
     th[:k, :k] = np.eye(k, dtype=bool)
     forward_chain(th, rules)
     cl1, rng1 = row_masks(th[:k]), row_masks(th[contrary])
-    cl0, rng0 = cl1.pop(), rng1.pop()
-    (cl_lo, cl_hi), (rng_lo, rng_hi) = _factor_tables(k, k // 2, cl1, rng1)
-    cl_lo |= np.uint32(cl0)
-    rng_lo |= np.uint32(rng0)
-    closures = [[cl0] if rng0 >> a & 1 else
-                sorted({c for c, r in zip(cl1, rng1) if r >> a & 1})
-                for a in range(k)]
-    return SubsetEngine(k, (rng_lo, rng_hi), (cl_lo, cl_hi), closures)
+    return row_engine(k, rng1[:k], cl1[:k], rng1[k], cl1[k])
 
 
 # ----------------------------------------------------------------- filters

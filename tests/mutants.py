@@ -13,8 +13,9 @@ caught only by a failing check.
 
     python tests/mutants.py
 
-Exits 1 if a request fails on the unmutated copy, a mutant's text is not
-found exactly once, or a mutant survives its request. This file is not
+Prints one line per mutant and ends with `N of M killed, K by Tier-1
+nodes`. Exits 1 if a request fails on the unmutated copy, a mutant's
+text is not found exactly once, or a mutant survives its request. This file is not
 collected by pytest: it runs one request per mutant and takes seconds.
 """
 from __future__ import annotations
@@ -44,30 +45,34 @@ MUTANTS = [
     # ABA defense counter-attacks the minimal sets deriving a contrary,
     # not their closures
     ("bipolaraba/masks.py",
-     "np.unique(cl[derivers[(targets >> np.uint32(a)) & 1 == 1]])",
-     "np.unique(derivers[(targets >> np.uint32(a)) & 1 == 1].astype(np.uint32))",
+     "cl[derivers[(targets >> np.uint32(a)) & 1 == 1]].tolist()",
+     "derivers[(targets >> np.uint32(a)) & 1 == 1].tolist()",
      ["fuzz", "--checks", "defense-eq", "--count", "200"]),
-    # an atomic framework's low factor loses the theory of the empty set,
-    # so the facts are lost from every set within the high factor
+    # the row builder's low factor loses the rows of the empty set, so an
+    # atomic framework's facts are lost from every set within the high
+    # factor
     ("bipolaraba/masks.py",
-     "    cl_lo |= np.uint32(cl0)\n    rng_lo |= np.uint32(rng0)\n",
+     "    rng_lo |= np.uint32(rng0)\n    cl_lo |= np.uint32(cl0)\n",
      "",
      ATOMIC_TEST),
-    # atomic ABA defense counter-attacks the singletons deriving a
-    # contrary, not their closures
+    # the row builder's defense counter-attacks the attacker alone, not
+    # its closure: a BAF's attacking argument, an atomic framework's
+    # single assumption deriving a contrary
     ("bipolaraba/masks.py",
-     "sorted({c for c, r in zip(cl1, rng1) if r >> a & 1})",
-     "sorted({1 << b for b, r in enumerate(rng1) if r >> a & 1})",
+     "for c, r in zip(cl1, rng1):",
+     "for c, r in zip([1 << b for b in range(n)], rng1):",
+     JOIN_TEST),
+    # the row builder forgets that the empty set alone derives a contrary
+    # derived from facts, and counter-attacks the closures of the single
+    # assumptions deriving it too
+    ("bipolaraba/masks.py",
+     "[[cl0] if rng0 >> a & 1 else sorted(cs)",
+     "[sorted(cs)",
      ATOMIC_TEST),
     # closed-set defense skips the subset-OR pass of the top bit
     ("bipolaraba/masks.py",
      "for i in range(len(t).bit_length() - 1):",
      "for i in range(len(t).bit_length() - 2):",
-     ["fuzz", "--checks", "defense-eq", "--count", "50"]),
-    # BAF defense counter-attacks the attacker alone, not its closure
-    ("bipolaraba/masks.py",
-     "closures[t].append(cl1[s])",
-     "closures[t].append(1 << s)",
      ["fuzz", "--checks", "defense-eq", "--count", "50"]),
     # the pBAF prefilter reads a high half's covered arguments from its
     # unshifted bits, so the join drops exhaustive sets
@@ -189,7 +194,7 @@ def show(request):
 
 
 def main():
-    bad = 0
+    bad = killed = by_node = 0
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -212,6 +217,9 @@ def main():
             print(f"{status:<9}{path}: {old!r} -> {new!r}  "
                   f"({show(request)}, exit {code})")
             bad += code == 0
+            killed += code != 0
+            by_node += code != 0 and isinstance(request, str)
+    print(f"{killed} of {len(MUTANTS)} killed, {by_node} by Tier-1 nodes")
     return 1 if bad else 0
 
 

@@ -663,6 +663,18 @@ def test_maximality_over_all_two_to_the_24_masks_fits_in_memory():
         proc.stderr
 
 
+def test_a_nonatomic_aba_solve_never_imports_numpy_ma():
+    # numpy imports numpy.ma on a process's first np.unique call: 8-15 ms
+    # and about 1.7 MB of peak RSS that no solve needs
+    path = Path(__file__).parent / "data" / "golden_nonatomic.aba"
+    proc = run_capped(
+        1 << 30, "-c", "import sys; from bipolaraba import cli; "
+        f"cli.main(['solve', {str(path)!r}, '--sigma', 'co']); "
+        "print('numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_the_benchmark_tracer_finds_every_engine_method(tmp_path):
     # perfbench/tracer.py wraps the SubsetEngine methods it names in
     # ENGINE_METHODS: a method renamed away breaks the traced benchmark

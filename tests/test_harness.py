@@ -399,8 +399,8 @@ def test_defense_equivalence_kills_aba_closure_mutant(monkeypatch):
     # plant a fault in the engine's ABA defense: counter-attack the
     # minimal sets deriving a contrary, not their closures
     source = inspect.getsource(masks.aba_engine)
-    old = "np.unique(cl[derivers[(targets >> np.uint32(a)) & 1 == 1]])"
-    new = "np.unique(derivers[(targets >> np.uint32(a)) & 1 == 1].astype(np.uint32))"
+    old = "cl[derivers[(targets >> np.uint32(a)) & 1 == 1]].tolist()"
+    new = "derivers[(targets >> np.uint32(a)) & 1 == 1].tolist()"
     assert source.count(old) == 1
     space = dict(vars(masks))
     exec(source.replace(old, new), space)

@@ -33,14 +33,30 @@ def to_mask(items, labels):
     return sum(1 << labels.index(x) for x in items)
 
 
+def defended_by_definition(n, rng, cl):
+    """Defense by the definition, of every mask at once: S leaves a
+    undefended iff some closed set T with a in rng[T] misses rng[S], that
+    is lies within full ^ rng[S]. One subset-OR pass over F[T] = rng[T],
+    T closed, gives the OR of rng[T] over the closed T within each mask."""
+    full = (1 << n) - 1
+    rng, cl = np.array(rng, dtype=np.uint32), np.array(cl, dtype=np.uint32)
+    f = np.where(cl == np.arange(1 << n), rng, 0).astype(np.uint32)
+    for i in range(n):
+        v = f.reshape(-1, 2, 1 << i)
+        v[:, 1] |= v[:, 0]
+    return (full ^ f[full ^ rng]).tolist()
+
+
 def brute_force(n, range_of, closure_of):
-    """Range and closure of every mask, and the filters over them."""
+    """Range and closure of every mask, the filters over them and the
+    elements each mask defends."""
     every = range(1 << n)
     rng = [range_of(m) for m in every]
     cl = [closure_of(m) for m in every]
     full = (1 << n) - 1
     return {
         "range_of": rng,
+        "gamma": defended_by_definition(n, rng, cl),
         "candidate_masks": [m for m in every if not rng[m] & m and cl[m] == m],
         "conflict_free_masks": [m for m in every if not rng[m] & m],
         "closed_masks": [m for m in every if cl[m] == m],
@@ -52,6 +68,8 @@ def brute_force(n, range_of, closure_of):
 def assert_engine_matches(eng, want):
     every = np.arange(len(want["range_of"]), dtype=np.uint32)
     assert eng.range_of(every).tolist() == want["range_of"]
+    # the builder's attacker closures against closed-set defense
+    assert eng.gamma(every).tolist() == want["gamma"]
     for name in ("candidate_masks", "conflict_free_masks", "closed_masks"):
         assert getattr(eng, name)().tolist() == want[name], name
     assert sorted(eng.stable_masks(eng.candidate_masks()).tolist()) == \
@@ -73,6 +91,9 @@ def test_baf_join_matches_brute_force(n, seed, p_att, join_entries):
         lambda m: to_mask(baf_closure(frame, members(m, labels)), labels))
     eng = frame.engine()
     assert eng.lo == n // 2
+    assert eng.closures == [
+        sorted({to_mask(baf_closure(frame, [s]), labels)
+                for s, t in frame.att if t == a}) for a in range(n)]
     old = masks.JOIN_ENTRIES
     masks.JOIN_ENTRIES = join_entries  # 1: one high half per block
     try:
